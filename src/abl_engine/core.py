@@ -266,7 +266,9 @@ def _complex_from_json(obj, what: str) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(part, numbers.Real) for part in obj)
+        or not all(
+            isinstance(part, numbers.Real) and not isinstance(part, bool) for part in obj
+        )
     ):
         raise ParseError(f"{what} must be a two-element [re, im] array")
     return complex(float(obj[0]), float(obj[1]))

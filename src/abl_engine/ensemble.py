@@ -9,13 +9,14 @@ they are checked against.
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, stream) with a fixed counter block range per trial, so trials are
 independent, reproducible bit-exactly, and parallelizable without shared
-state. `ABL_ENGINE_THREADS` caps the worker count (0 or unset = auto);
-results do not depend on it.
+state. `ABL_ENGINE_THREADS` caps the worker count (0 or unset = auto), and
+the CPU count caps it further; results depend on neither.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -182,10 +183,33 @@ def run_trial(
 # ---------------------------------------------------------------------------
 # vectorized estimators
 
-# Each chunk regenerates its trials' draws in one batch: trial i's draws
-# are the first columns of row i after reshaping the flat double stream by
-# blocks-per-trial. Identical arithmetic to run_trial, so a serial loop
-# over trial_stream reproduces these counts bit for bit.
+# Each chunk regenerates its trials' draws from one Philox positioned at the
+# chunk's first block, in sub-batches written into one buffer per worker
+# thread: trial i's draws are the first columns of row i after reshaping
+# the flat double stream by blocks-per-trial. A sub-batch continues the
+# stream where the previous one stopped, so sub-batching never changes which
+# draw a trial gets, and a sampler call allocates nothing in proportion to
+# its trial count.
+#
+# The kernels compare the raw draw x = m * 2**-53 (numpy's `random`) against
+# bounds computed once per call, instead of forming u = 1 - x per trial.
+# u is exact, so for any v, u <= v holds exactly when x >= _raw_bound(v),
+# and v < u exactly when x < _raw_bound(v). The kernels therefore pick the
+# same branch as searchsorted(cumulative, u, "left") and accept the same
+# trials as u <= threshold, and a serial loop over trial_stream and
+# run_trial reproduces their counts bit for bit.
+
+# Both constants were measured at 2^22 trials on a 2-core x86-64 host with
+# numpy 2.4. A 512 KiB buffer of draws per worker stays in a core's L2 cache.
+# Each numpy call holds the interpreter lock while it dispatches, so a
+# sub-batch must be long enough for workers to overlap: two workers ran about
+# 1.2x faster than one at 2^12 trials per sub-batch, and 1.5x at 2^14.
+SUB_BATCH_TRIALS = 1 << 14
+# Above this many branch bounds, one binary search per draw beats one
+# comparison per bound; the two cost the same between 9 and 12 bounds.
+MAX_COMPARED_BOUNDS = 8
+
+_worker_buffers = threading.local()
 
 
 def _thread_count() -> int:
@@ -204,6 +228,12 @@ def _thread_count() -> int:
     return value
 
 
+def _worker_count(chunks: int) -> int:
+    # more threads than cores only adds contention, and a large
+    # ABL_ENGINE_THREADS must never start thousands of OS threads
+    return min(_thread_count(), chunks, os.cpu_count() or 1)
+
+
 def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     return [
         (start, min(CHUNK_TRIALS, trials - start))
@@ -211,13 +241,47 @@ def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     ]
 
 
-def _chunk_draws(
-    seed: int, stream: int, start: int, count: int, blocks: int
-) -> np.ndarray:
+def _raw_bound(values) -> np.ndarray:
+    """Exact bound on the raw draw x for each value v: with u = 1 - x,
+    u <= v iff x >= bound and v < u iff x < bound."""
+    scale = 2.0**53
+    return 1.0 - np.floor(np.asarray(values, dtype=float) * scale) / scale
+
+
+def _raw_tables(
+    cumulative: np.ndarray, thresholds: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The interposed tables as raw-draw bounds: the ascending branch bounds
+    that _branch_index takes, and the per-branch acceptance bounds."""
+    return _raw_bound(cumulative[:-1][::-1]), _raw_bound(thresholds)
+
+
+def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
+    """Yield the chunk's draws as (n, blocks * 4) sub-batches. Each one is a
+    view of this thread's reused buffer, overwritten by the next."""
+    width = blocks * DRAWS_PER_BLOCK
+    buffer = getattr(_worker_buffers, "draws", None)
+    if buffer is None or buffer.size < SUB_BATCH_TRIALS * width:
+        buffer = _worker_buffers.draws = np.empty(SUB_BATCH_TRIALS * width)
     bit_gen = np.random.Philox(key=[seed, stream])
     bit_gen.advance(start * blocks)
-    flat = np.random.Generator(bit_gen).random(count * blocks * DRAWS_PER_BLOCK)
-    return flat.reshape(count, blocks * DRAWS_PER_BLOCK)
+    generator = np.random.Generator(bit_gen)
+    for done in range(0, count, SUB_BATCH_TRIALS):
+        n = min(SUB_BATCH_TRIALS, count - done)
+        flat = buffer[: n * width]
+        generator.random(out=flat)
+        yield flat.reshape(n, width)
+
+
+def _branch_index(x: np.ndarray, rising: np.ndarray) -> np.ndarray:
+    # rising holds _raw_bound of the cumulative without its closing 1.0, in
+    # ascending order; branch = number of bounds above x
+    if len(rising) > MAX_COMPARED_BOUNDS:
+        return len(rising) - np.searchsorted(rising, x, side="right")
+    picked = np.zeros(len(x), dtype=np.intp)
+    for bound in rising:
+        picked += x < bound
+    return picked
 
 
 def _chunk_counts_interposed(
@@ -225,30 +289,33 @@ def _chunk_counts_interposed(
     stream: int,
     start: int,
     count: int,
-    cumulative: np.ndarray,
-    thresholds: np.ndarray,
+    rising: np.ndarray,
+    accept_from: np.ndarray,
 ) -> np.ndarray:
-    draws = _chunk_draws(seed, stream, start, count, _blocks_per_trial(1))
-    u1 = 1.0 - draws[:, 0]
-    u2 = 1.0 - draws[:, 1]
-    picked = np.searchsorted(cumulative, u1, side="left")
-    accepted = u2 <= thresholds[picked]
-    return np.bincount(picked[accepted], minlength=len(cumulative)).astype(np.int64)
+    k = len(accept_from)
+    counts = np.zeros(2 * k, dtype=np.int64)
+    for draws in _chunk_draws(seed, stream, start, count, _blocks_per_trial(1)):
+        picked = _branch_index(draws[:, 0], rising)
+        accepted = draws[:, 1] >= accept_from[picked]
+        counts += np.bincount(picked + k * accepted, minlength=2 * k)
+    return counts[k:]
 
 
 def _chunk_count_direct(
-    seed: int, stream: int, start: int, count: int, threshold: float
+    seed: int, stream: int, start: int, count: int, accept_from: float
 ) -> int:
-    draws = _chunk_draws(seed, stream, start, count, _blocks_per_trial(0))
-    return int(np.count_nonzero(1.0 - draws[:, 0] <= threshold))
+    return sum(
+        int(np.count_nonzero(draws[:, 0] >= accept_from))
+        for draws in _chunk_draws(seed, stream, start, count, _blocks_per_trial(0))
+    )
 
 
 def _map_chunks(fn, trials: int):
     chunks = _chunk_ranges(trials)
-    threads = min(_thread_count(), len(chunks))
-    if threads <= 1:
+    workers = _worker_count(len(chunks))
+    if workers <= 1:
         return [fn(start, count) for start, count in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, start, count) for start, count in chunks]
         return [f.result() for f in futures]
 
@@ -276,11 +343,13 @@ def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     seed = _validate_seed(seed)
-    cumulative, thresholds = _interposed_tables(ctx.pre, ctx.intervening, ctx.post)
+    rising, accept_from = _raw_tables(
+        *_interposed_tables(ctx.pre, ctx.intervening, ctx.post)
+    )
 
     results = _map_chunks(
         lambda start, count: _chunk_counts_interposed(
-            seed, 0, start, count, cumulative, thresholds
+            seed, 0, start, count, rising, accept_from
         ),
         trials,
     )
@@ -314,17 +383,17 @@ def estimate_interposition_effect(
         raise DimensionMismatch("pre, post, and observable must share one dimension")
 
     direct = born_prob(DensityOperator.from_state(pre), _post_projector(post))
-    threshold = _accept_threshold(direct)
+    direct_from = float(_raw_bound(_accept_threshold(direct)))
     hits = _map_chunks(
-        lambda start, count: _chunk_count_direct(seed, 0, start, count, threshold),
+        lambda start, count: _chunk_count_direct(seed, 0, start, count, direct_from),
         trials,
     )
     rate_without = int(np.sum(hits)) / trials
 
-    cumulative, thresholds = _interposed_tables(pre, q, post)
+    rising, accept_from = _raw_tables(*_interposed_tables(pre, q, post))
     results = _map_chunks(
         lambda start, count: _chunk_counts_interposed(
-            seed, 1, start, count, cumulative, thresholds
+            seed, 1, start, count, rising, accept_from
         ),
         trials,
     )

@@ -201,13 +201,15 @@ def test_missing_file_is_parse_error(capsys, box_files):
 
 def test_invalid_json_is_parse_error(capsys, tmp_path, box_files):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = _run(
-        capsys,
-        ["abl", "--pre", str(bad), "--post", box_files["b"], "--observable", box_files["q"]],
-    )
-    assert code == 2
-    assert json.loads(err)["code"] == "ParseError"
+    boolean_amplitudes = json.dumps({"dim": 1, "amplitudes": [[True, False]]})
+    for text in ("{not json", boolean_amplitudes):
+        bad.write_text(text)
+        code, _, err = _run(
+            capsys,
+            ["abl", "--pre", str(bad), "--post", box_files["b"], "--observable", box_files["q"]],
+        )
+        assert code == 2
+        assert json.loads(err)["code"] == "ParseError"
 
 
 def test_missing_required_inputs(capsys, box_files):

@@ -234,6 +234,7 @@ def test_observable_json_round_trip():
         {"dim": 2, "amplitudes": [[1.0, 0.0]]},
         {"dim": 1, "amplitudes": [[1.0]]},
         {"dim": 1, "amplitudes": [["1", "0"]]},
+        {"dim": 1, "amplitudes": [[True, False]]},
     ],
 )
 def test_state_from_json_rejects_malformed(payload):

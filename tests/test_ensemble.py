@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,21 @@ from abl_engine import (
     trial_stream,
     trivial_observable,
 )
-from abl_engine.ensemble import _closed_cumulative, stats_csv_rows, stats_to_json
+from abl_engine import ensemble
+from abl_engine.ensemble import (
+    CHUNK_TRIALS,
+    SUB_BATCH_TRIALS,
+    _branch_index,
+    _chunk_count_direct,
+    _chunk_counts_interposed,
+    _chunk_ranges,
+    _closed_cumulative,
+    _raw_bound,
+    _raw_tables,
+    _worker_count,
+    stats_csv_rows,
+    stats_to_json,
+)
 from conftest import random_context
 
 
@@ -109,21 +124,137 @@ def test_run_trial_never_draws_vanishing_branch():
     assert labels == {"A"}
 
 
-def test_estimate_matches_trial_loop_bit_exactly():
+LOOP_TRIALS = 4097
+EDGE_WINDOW = 16
+
+
+def _check_against_trial_loop(monkeypatch, trial_counts, estimate_counts):
+    """A loop over the first trials pins the stream layout from its start.
+    Each trial within EDGE_WINDOW of a sub-batch edge and of a chunk edge is
+    pinned on its own, as the difference of two estimates one trial apart."""
+    prefix = np.cumsum([trial_counts(i) for i in range(LOOP_TRIALS)], axis=0)
+    windows = [
+        range(edge - EDGE_WINDOW, edge + EDGE_WINDOW) for edge in (SUB_BATCH_TRIALS, CHUNK_TRIALS)
+    ]
+    expected = [[trial_counts(i) for i in window] for window in windows]
+    for threads in ("1", "3"):
+        monkeypatch.setenv("ABL_ENGINE_THREADS", threads)
+        for trials in (1, LOOP_TRIALS - 2, LOOP_TRIALS - 1, LOOP_TRIALS):
+            assert np.array_equal(estimate_counts(trials), prefix[trials - 1])
+        for window, outcomes in zip(windows, expected):
+            totals = [estimate_counts(n) for n in range(window.start, window.stop + 1)]
+            assert np.array_equal(np.diff(totals, axis=0), outcomes)
+
+
+def test_estimate_matches_trial_loop_bit_exactly(monkeypatch):
+    seed = 21
     for ctx in (three_box().context, three_box().context_for("QA")):
-        trials, seed = 4000, 21
-        counts: dict = {}
-        accepted = 0
-        for i in range(trials):
+        labels = ctx.intervening.labels
+
+        def trial_counts(i):
             outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, trial_stream(seed, i))
-            if outcome.post_selected:
-                accepted += 1
-                lbl = outcome.intermediate_labels[0]
-                counts[lbl] = counts.get(lbl, 0) + 1
-        stats = estimate_abl(ctx, trials, seed)
-        assert stats.accepted == accepted
-        for label in ctx.intervening.labels:
-            assert stats.frequency(label) == counts.get(label, 0) / accepted
+            hit = outcome.intermediate_labels if outcome.post_selected else ()
+            return np.array([label in hit for label in labels], dtype=int)
+
+        def estimate_counts(trials):
+            stats = estimate_abl(ctx, trials, seed)
+            return np.array([round(stats.frequency(label) * stats.accepted) for label in labels])
+
+        _check_against_trial_loop(monkeypatch, trial_counts, estimate_counts)
+
+
+def test_interposition_effect_matches_trial_loop_bit_exactly(monkeypatch):
+    ctx = three_box().context
+    seed = 19
+
+    def trial_counts(i):
+        without = run_trial(ctx.pre, [], ctx.post, trial_stream(seed, i, 0, stream=0))
+        with_q = run_trial(ctx.pre, [ctx.intervening], ctx.post, trial_stream(seed, i, 1, stream=1))
+        return np.array([without.post_selected, with_q.post_selected], dtype=int)
+
+    def estimate_counts(trials):
+        rates = estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, seed)
+        return np.array([round(rate * trials) for rate in rates])
+
+    _check_against_trial_loop(monkeypatch, trial_counts, estimate_counts)
+
+
+def _draws_near(values):
+    """Raw draws x = m * 2**-53 for every m within 4 of where u = 1 - x
+    crosses one of the values, from either side."""
+    scale = 2**53
+    centers = set()
+    for v in values:
+        floor = int(np.floor(v * scale))
+        centers.update((floor, scale - floor))
+    m = sorted({c + d for c in centers for d in range(-4, 5) if 0 <= c + d < scale})
+    x = np.array(m, dtype=np.int64).astype(float) / scale
+    assert np.array_equal(x * scale, m)  # exact
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 20])
+def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
+    # k = 20 exceeds MAX_COMPARED_BOUNDS, so both branch searches are covered
+    rng = np.random.default_rng(k)
+    probs = rng.random(k) * (rng.random(k) < 0.8)
+    probs[rng.integers(k)] = 1.0
+    cumulative = _closed_cumulative(probs)
+    special = [0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 2.0**-53, 2.0**-54, 1e-300]
+    thresholds = np.where(rng.random(k) < 0.5, rng.choice(special, k), rng.random(k))
+    rising, accept_from = _raw_tables(cumulative, thresholds)
+
+    x, y = _draws_near(cumulative), _draws_near(thresholds)
+    picked = np.searchsorted(cumulative, 1.0 - x, side="left")
+    assert np.array_equal(_branch_index(x, rising), picked)
+
+    # every (x, y) pair as one trial's draws, fed through the chunk kernel
+    draws = np.zeros((len(x) * len(y), 4))
+    draws[:, 0] = np.repeat(x, len(y))
+    draws[:, 1] = np.tile(y, len(x))
+    picked = np.repeat(picked, len(y))
+    accepted = 1.0 - draws[:, 1] <= thresholds[picked]
+    expected = np.bincount(picked[accepted], minlength=k)
+    monkeypatch.setattr(ensemble, "_chunk_draws", lambda *args: iter([draws]))
+    counts = _chunk_counts_interposed(0, 0, 0, len(draws), rising, accept_from)
+    assert np.array_equal(counts, expected)
+
+    for t in [*special, *thresholds]:
+        column = _draws_near([t])
+        direct = np.zeros((len(column), 4))
+        direct[:, 0] = column
+        monkeypatch.setattr(ensemble, "_chunk_draws", lambda *args: iter([direct]))
+        hits = _chunk_count_direct(0, 0, 0, len(column), float(_raw_bound(t)))
+        assert hits == np.count_nonzero(1.0 - column <= t)
+
+
+def test_worker_count_is_capped_at_cpu_count(monkeypatch):
+    # computes the count only; never starts the threads
+    cpus = os.cpu_count() or 1
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "100000")
+    assert _worker_count(len(_chunk_ranges(10**9))) == cpus
+    assert _worker_count(1) == 1
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "1")
+    assert _worker_count(15259) == 1
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "0")
+    assert _worker_count(15259) == min(cpus, 8)
+
+
+def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
+    # drawing a whole 2**16-trial chunk at once peaks near 4 MiB of draws and
+    # temporaries. The warm-up call takes the one-time costs out of the
+    # measurement: numpy's lazy random-module import and this thread's
+    # 512 KiB draw buffer.
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "1")
+    ctx = three_box().context
+    estimate_abl(ctx, 2**10, 6)
+    tracemalloc.start()
+    try:
+        estimate_abl(ctx, 2**20, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_estimate_is_reproducible():
