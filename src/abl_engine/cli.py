@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .core import (
-    DensityOperator,
     Observable,
     StateVector,
-    born_prob,
     inner,
     observable_from_json,
     state_from_json,

@@ -1,10 +1,12 @@
 """Seeded Monte Carlo verifier for pre- and post-selected ensembles.
 
-Simulates sequential ideal measurements trial by trial: sample an outcome
-with its conditional Born probability, collapse, repeat, then post-select
-with a final binary measurement. Post-selection is a genuine filter, not
-importance weighting, so the estimates stay independent of the formulas
-they are checked against.
+Simulates sequential ideal measurements on state vectors: outcome k of an
+observable in state psi has probability ||P_k psi||^2 and leaves P_k psi,
+normalized; a final binary measurement post-selects on |b>. Post-selection
+is a genuine filter, not importance weighting, so the estimates stay
+independent of the formulas they are checked against. `run_trial` and both
+vectorized estimators take their tables from one builder and compare draws
+against them the same way, so they agree by construction.
 
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, stream) with a fixed counter block range per trial, so trials are
@@ -19,19 +21,12 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ZERO_PROB_TOL,
-    DensityOperator,
-    Observable,
-    Projector,
-    StateVector,
-    born_prob,
-    luders_update,
-)
+from .core import ZERO_PROB_TOL, Observable, StateVector
 from .errors import DimensionMismatch, NoAcceptedTrials, ValidationError
 from .rules import ProbabilityDistribution, SelectionContext
 
@@ -103,6 +98,14 @@ def _blocks_per_trial(n_observables: int) -> int:
     return (n_observables + 1 + DRAWS_PER_BLOCK - 1) // DRAWS_PER_BLOCK
 
 
+def _philox(seed: int, stream: int, first_block: int) -> np.random.Generator:
+    # an explicit uint64 key: a list of Python ints would pass seeds of 2**63
+    # and above through float64, so neighbouring seeds would share a stream
+    bit_gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    bit_gen.advance(first_block)
+    return np.random.Generator(bit_gen)
+
+
 def trial_stream(
     seed: int, trial_index: int, n_observables: int = 1, stream: int = 0
 ) -> np.random.Generator:
@@ -114,14 +117,11 @@ def trial_stream(
     seed = _validate_seed(seed)
     if trial_index < 0:
         raise ValidationError("trial_index must be nonnegative")
-    blocks = _blocks_per_trial(n_observables)
-    bit_gen = np.random.Philox(key=[seed, stream])
-    bit_gen.advance(trial_index * blocks)
-    return np.random.Generator(bit_gen)
+    return _philox(seed, stream, trial_index * _blocks_per_trial(n_observables))
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# branch tables
 
 # The cumulative array is "closed": branch probabilities at or below
 # ZERO_PROB_TOL are snapped to zero and the rest renormalized, then every
@@ -129,6 +129,13 @@ def trial_stream(
 # u in (0, 1] with searchsorted(side="left") then never selects a zero
 # branch, always selects some branch, and resolves boundary ties to the
 # lower-indexed outcome.
+#
+# The samplers compare the raw draw x = m * 2**-53 (numpy's `random`)
+# against bounds computed once per table, instead of forming u = 1 - x per
+# draw. u is exact, so for any v, u <= v holds exactly when
+# x >= _raw_bound(v), and v < u exactly when x < _raw_bound(v). Branch
+# picks therefore equal searchsorted(cumulative, u, "left") and acceptance
+# equals u <= threshold.
 
 
 def _closed_cumulative(probs: Sequence[float]) -> np.ndarray:
@@ -143,19 +150,50 @@ def _closed_cumulative(probs: Sequence[float]) -> np.ndarray:
     return c
 
 
-def _draw_index(cumulative: np.ndarray, rng: np.random.Generator) -> int:
-    u = 1.0 - float(rng.random())
-    return int(np.searchsorted(cumulative, u, side="left"))
+def _raw_bound(values) -> np.ndarray:
+    """Exact bound on the raw draw x for each value v: with u = 1 - x,
+    u <= v iff x >= bound and v < u iff x < bound."""
+    scale = 2.0**53
+    return 1.0 - np.floor(np.asarray(values, dtype=float) * scale) / scale
 
 
-def _accept_threshold(probability: float) -> float:
-    # first entry of the closed cumulative for the binary filter {b, not-b}
-    return float(_closed_cumulative([probability, 1.0 - probability])[0])
+def _accept_bound(probability: float) -> float:
+    """Raw-draw bound of a post-selection that passes with this probability:
+    the first entry of the closed cumulative of the binary filter {b, not-b}."""
+    return float(_raw_bound(_closed_cumulative([probability, 1.0 - probability])[0]))
 
 
-def _post_projector(post: StateVector) -> Projector:
-    amps = post.amplitudes
-    return Projector(np.outer(amps, amps.conj()), "post")
+def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndarray):
+    """One ideal measurement of the pure state psi before the post-selection
+    on |post>: the projected vectors P_k psi, their probabilities
+    p_k = ||P_k psi||^2, the raw-draw bounds that _branch_index takes, and
+    each branch's acceptance |<post|P_k psi>|^2 / p_k (0 if never drawn).
+    With no observable, psi is the one branch, taken with p = 1."""
+    if len(post) != len(psi) or (observable is not None and observable.dim != len(psi)):
+        raise DimensionMismatch("pre, post, and observables must share one dimension")
+    if observable is None:
+        projected, probs = [psi], np.ones(1)
+    else:
+        projected = [p.matrix @ psi for p in observable.outcomes]
+        probs = np.array([np.vdot(v, v).real for v in projected])
+    overlaps = np.array([abs(np.vdot(post, v)) ** 2 for v in projected])
+    acceptance = np.divide(
+        overlaps, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL
+    )
+    rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
+    return projected, probs, rising, acceptance
+
+
+def _branch_index(x, rising: np.ndarray):
+    # rising holds _raw_bound of the cumulative without its closing 1.0, in
+    # ascending order; branch = number of bounds above x. x is one draw or an
+    # array of draws; with no bounds the branch is the scalar 0.
+    if len(rising) > MAX_COMPARED_BOUNDS:
+        return len(rising) - np.searchsorted(rising, x, side="right")
+    picked = 0
+    for bound in rising:
+        picked += x < bound
+    return picked
 
 
 def run_trial(
@@ -164,25 +202,29 @@ def run_trial(
     post: StateVector,
     rng_stream: np.random.Generator,
 ) -> TrialOutcome:
-    """One simulated history: measure each observable in order, collapsing
-    after each outcome, then apply the final post-selection filter."""
-    if post.dim != pre.dim or any(obs.dim != pre.dim for obs in observables):
-        raise DimensionMismatch("pre, post, and observables must share one dimension")
-    state = DensityOperator.from_state(pre)
-    labels = []
-    for obs in observables:
-        probs = [born_prob(state, p) for p in obs.outcomes]
-        idx = _draw_index(_closed_cumulative(probs), rng_stream)
-        labels.append(obs.labels[idx])
-        state = luders_update(state, obs.outcomes[idx])
-    p_accept = born_prob(state, _post_projector(post))
-    u = 1.0 - float(rng_stream.random())
-    return TrialOutcome(tuple(labels), bool(u <= _accept_threshold(p_accept)))
+    """One simulated history: measure each observable in order, continuing
+    from each outcome's projected state, then apply the final post-selection
+    filter. Takes one draw per observable and one for the filter."""
+    psi, k, labels = pre.amplitudes, 0, []
+    for obs in observables or [None]:
+        projected, probs, rising, acceptance = _branch_tables(psi, obs, post.amplitudes)
+        if obs is not None:
+            k = int(_branch_index(rng_stream.random(), rising))
+            labels.append(obs.outcomes[k].label)
+            # normalized, so the next step snaps conditional probabilities
+            psi = projected[k] / np.sqrt(probs[k])
+    accepted = rng_stream.random() >= _accept_bound(acceptance[k])
+    return TrialOutcome(tuple(labels), bool(accepted))
 
 
 # ---------------------------------------------------------------------------
 # vectorized estimators
 
+# Both estimators count with _chunk_counts on the tables of one
+# _branch_tables call, with one observable or none. Trial i takes its branch
+# from column 0 of its draws and its post-selection from column n, the
+# number of observables: the draws run_trial takes from trial_stream.
+#
 # Each chunk regenerates its trials' draws from one Philox positioned at the
 # chunk's first block, in sub-batches written into one buffer per worker
 # thread: trial i's draws are the first columns of row i after reshaping
@@ -190,14 +232,6 @@ def run_trial(
 # stream where the previous one stopped, so sub-batching never changes which
 # draw a trial gets, and a sampler call allocates nothing in proportion to
 # its trial count.
-#
-# The kernels compare the raw draw x = m * 2**-53 (numpy's `random`) against
-# bounds computed once per call, instead of forming u = 1 - x per trial.
-# u is exact, so for any v, u <= v holds exactly when x >= _raw_bound(v),
-# and v < u exactly when x < _raw_bound(v). The kernels therefore pick the
-# same branch as searchsorted(cumulative, u, "left") and accept the same
-# trials as u <= threshold, and a serial loop over trial_stream and
-# run_trial reproduces their counts bit for bit.
 
 # Both constants were measured at 2^22 trials on a 2-core x86-64 host with
 # numpy 2.4. A 512 KiB buffer of draws per worker stays in a core's L2 cache.
@@ -241,21 +275,6 @@ def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
     ]
 
 
-def _raw_bound(values) -> np.ndarray:
-    """Exact bound on the raw draw x for each value v: with u = 1 - x,
-    u <= v iff x >= bound and v < u iff x < bound."""
-    scale = 2.0**53
-    return 1.0 - np.floor(np.asarray(values, dtype=float) * scale) / scale
-
-
-def _raw_tables(
-    cumulative: np.ndarray, thresholds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The interposed tables as raw-draw bounds: the ascending branch bounds
-    that _branch_index takes, and the per-branch acceptance bounds."""
-    return _raw_bound(cumulative[:-1][::-1]), _raw_bound(thresholds)
-
-
 def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
     """Yield the chunk's draws as (n, blocks * 4) sub-batches. Each one is a
     view of this thread's reused buffer, overwritten by the next."""
@@ -263,9 +282,7 @@ def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
     buffer = getattr(_worker_buffers, "draws", None)
     if buffer is None or buffer.size < SUB_BATCH_TRIALS * width:
         buffer = _worker_buffers.draws = np.empty(SUB_BATCH_TRIALS * width)
-    bit_gen = np.random.Philox(key=[seed, stream])
-    bit_gen.advance(start * blocks)
-    generator = np.random.Generator(bit_gen)
+    generator = _philox(seed, stream, start * blocks)
     for done in range(0, count, SUB_BATCH_TRIALS):
         n = min(SUB_BATCH_TRIALS, count - done)
         flat = buffer[: n * width]
@@ -273,41 +290,23 @@ def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
         yield flat.reshape(n, width)
 
 
-def _branch_index(x: np.ndarray, rising: np.ndarray) -> np.ndarray:
-    # rising holds _raw_bound of the cumulative without its closing 1.0, in
-    # ascending order; branch = number of bounds above x
-    if len(rising) > MAX_COMPARED_BOUNDS:
-        return len(rising) - np.searchsorted(rising, x, side="right")
-    picked = np.zeros(len(x), dtype=np.intp)
-    for bound in rising:
-        picked += x < bound
-    return picked
-
-
-def _chunk_counts_interposed(
+def _chunk_counts(
     seed: int,
     stream: int,
-    start: int,
-    count: int,
+    n_observables: int,
     rising: np.ndarray,
     accept_from: np.ndarray,
+    start: int,
+    count: int,
 ) -> np.ndarray:
+    """Post-selected trials of one chunk, counted per branch."""
     k = len(accept_from)
     counts = np.zeros(2 * k, dtype=np.int64)
-    for draws in _chunk_draws(seed, stream, start, count, _blocks_per_trial(1)):
+    for draws in _chunk_draws(seed, stream, start, count, _blocks_per_trial(n_observables)):
         picked = _branch_index(draws[:, 0], rising)
-        accepted = draws[:, 1] >= accept_from[picked]
+        accepted = draws[:, n_observables] >= accept_from[picked]
         counts += np.bincount(picked + k * accepted, minlength=2 * k)
     return counts[k:]
-
-
-def _chunk_count_direct(
-    seed: int, stream: int, start: int, count: int, accept_from: float
-) -> int:
-    return sum(
-        int(np.count_nonzero(draws[:, 0] >= accept_from))
-        for draws in _chunk_draws(seed, stream, start, count, _blocks_per_trial(0))
-    )
 
 
 def _map_chunks(fn, trials: int):
@@ -320,40 +319,30 @@ def _map_chunks(fn, trials: int):
         return [f.result() for f in futures]
 
 
-def _interposed_tables(
-    pre: StateVector, intervening: Observable, post: StateVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative branch array and per-branch acceptance thresholds, computed
-    through the same core calls run_trial makes."""
-    state = DensityOperator.from_state(pre)
-    post_proj = _post_projector(post)
-    probs = [born_prob(state, p) for p in intervening.outcomes]
-    cumulative = _closed_cumulative(probs)
-    thresholds = np.zeros(len(probs))
-    for k, p in enumerate(probs):
-        if p > ZERO_PROB_TOL:
-            collapsed = luders_update(state, intervening.outcomes[k])
-            thresholds[k] = _accept_threshold(born_prob(collapsed, post_proj))
-    return cumulative, thresholds
+def _post_selected_counts(
+    pre: StateVector,
+    observable: Observable | None,
+    post: StateVector,
+    trials: int,
+    seed: int,
+    stream: int,
+) -> np.ndarray:
+    """Post-selected trials per branch of the observable (one entry when
+    there is none) over trials [0, trials) of the stream."""
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
+    seed = _validate_seed(seed)
+    _, _, rising, acceptance = _branch_tables(pre.amplitudes, observable, post.amplitudes)
+    accept_from = np.array([_accept_bound(t) for t in acceptance])
+    n_observables = 0 if observable is None else 1
+    chunk_counts = partial(_chunk_counts, seed, stream, n_observables, rising, accept_from)
+    return np.sum(_map_chunks(chunk_counts, trials), axis=0)
 
 
 def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats:
     """Relative frequencies of the interposed outcomes over post-selected
     trials; reproducible bit-exactly for a fixed (trials, seed)."""
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    seed = _validate_seed(seed)
-    rising, accept_from = _raw_tables(
-        *_interposed_tables(ctx.pre, ctx.intervening, ctx.post)
-    )
-
-    results = _map_chunks(
-        lambda start, count: _chunk_counts_interposed(
-            seed, 0, start, count, rising, accept_from
-        ),
-        trials,
-    )
-    counts = np.sum(results, axis=0)
+    counts = _post_selected_counts(ctx.pre, ctx.intervening, ctx.post, trials, seed, 0)
     accepted = int(counts.sum())
     if accepted == 0:
         raise NoAcceptedTrials(
@@ -367,7 +356,7 @@ def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats
         accepted=accepted,
         frequencies=tuple(zip(labels, map(float, freqs))),
         std_errors=tuple(zip(labels, map(float, errors))),
-        seed=seed,
+        seed=int(seed),
     )
 
 
@@ -376,29 +365,9 @@ def estimate_interposition_effect(
 ) -> tuple[float, float]:
     """Empirical post-selection rates without (stream 0) and with (stream 1)
     the observable interposed."""
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    seed = _validate_seed(seed)
-    if post.dim != pre.dim or q.dim != pre.dim:
-        raise DimensionMismatch("pre, post, and observable must share one dimension")
-
-    direct = born_prob(DensityOperator.from_state(pre), _post_projector(post))
-    direct_from = float(_raw_bound(_accept_threshold(direct)))
-    hits = _map_chunks(
-        lambda start, count: _chunk_count_direct(seed, 0, start, count, direct_from),
-        trials,
-    )
-    rate_without = int(np.sum(hits)) / trials
-
-    rising, accept_from = _raw_tables(*_interposed_tables(pre, q, post))
-    results = _map_chunks(
-        lambda start, count: _chunk_counts_interposed(
-            seed, 1, start, count, rising, accept_from
-        ),
-        trials,
-    )
-    rate_with = int(np.sum(results, axis=0).sum()) / trials
-    return rate_without, rate_with
+    without = _post_selected_counts(pre, None, post, trials, seed, 0)
+    with_q = _post_selected_counts(pre, q, post, trials, seed, 1)
+    return int(without.sum()) / trials, int(with_q.sum()) / trials
 
 
 # ---------------------------------------------------------------------------

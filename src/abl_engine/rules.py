@@ -74,21 +74,15 @@ class SelectionContext:
 
 
 @dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Labeled probabilities that sum to one."""
+class _LabeledValues:
+    """Values under unique labels; each subclass checks the values."""
 
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        labels = [label for label, _ in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("distribution labels must be unique")
-        for label, value in self.entries:
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"probability for {label!r} is outside [0, 1]")
-        total = sum(value for _, value in self.entries)
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"probabilities sum to {total}, not 1")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValidationError(f"{type(self).__name__} labels must be unique")
+        self._check_values()
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -104,31 +98,28 @@ class ProbabilityDistribution:
         return dict(self.entries)
 
 
-@dataclass(frozen=True)
-class WeightAssignment:
+class ProbabilityDistribution(_LabeledValues):
+    """Labeled probabilities that sum to one."""
+
+    def _check_values(self) -> None:
+        for label, value in self.entries:
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"probability for {label!r} is outside [0, 1]")
+        total = sum(value for _, value in self.entries)
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"probabilities sum to {total}, not 1")
+
+
+class WeightAssignment(_LabeledValues):
     """Labeled nonnegative weights; no sum constraint."""
 
-    entries: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        labels = [label for label, _ in self.entries]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("weight labels must be unique")
+    def _check_values(self) -> None:
         for label, value in self.entries:
             if value < 0.0:
                 raise ValidationError(f"weight for {label!r} is negative")
 
-    def __getitem__(self, label: str) -> float:
-        for key, value in self.entries:
-            if key == label:
-                return value
-        raise KeyError(label)
-
     def total(self) -> float:
         return sum(value for _, value in self.entries)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
 
 
 @dataclass(frozen=True)

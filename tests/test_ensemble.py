@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from abl_engine import (
     marginal_with_Q,
     projector_from_span,
     run_trial,
+    spin_half,
     three_box,
     trial_stream,
     trivial_observable,
@@ -33,17 +35,16 @@ from abl_engine.ensemble import (
     CHUNK_TRIALS,
     SUB_BATCH_TRIALS,
     _branch_index,
-    _chunk_count_direct,
-    _chunk_counts_interposed,
+    _branch_tables,
+    _chunk_counts,
     _chunk_ranges,
     _closed_cumulative,
     _raw_bound,
-    _raw_tables,
     _worker_count,
     stats_csv_rows,
     stats_to_json,
 )
-from conftest import random_context
+from conftest import random_context, random_observable, random_state
 
 
 def test_trial_stream_is_deterministic_and_distinct():
@@ -53,6 +54,22 @@ def test_trial_stream_is_deterministic_and_distinct():
     assert not np.array_equal(a, trial_stream(9, 5).random(4))
     assert not np.array_equal(a, trial_stream(10, 4).random(4))
     assert not np.array_equal(a, trial_stream(9, 4, stream=1).random(4))
+
+
+def test_seeds_above_2_63_get_their_own_streams():
+    # the generator key must be exact for every valid seed: through float64,
+    # neighbouring seeds of 2**63 and above would share one stream
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (2**63, 2**64 - 2):
+            assert trial_stream(seed, 0).random() != trial_stream(seed + 1, 0).random()
+    # seeds below 2**63 keep their streams
+    assert trial_stream(0, 0).random(4).tolist() == [
+        0.011546754286331562, 0.24154919656271812, 0.11142585551493822, 0.5644146216071337
+    ]
+    assert trial_stream(12345, 3, stream=1).random(4).tolist() == [
+        0.24527703336328477, 0.6601520760047788, 0.4137238103928904, 0.4219373422775481
+    ]
 
 
 def test_seed_validation():
@@ -146,21 +163,41 @@ def _check_against_trial_loop(monkeypatch, trial_counts, estimate_counts):
             assert np.array_equal(np.diff(totals, axis=0), outcomes)
 
 
-def test_estimate_matches_trial_loop_bit_exactly(monkeypatch):
-    seed = 21
-    for ctx in (three_box().context, three_box().context_for("QA")):
-        labels = ctx.intervening.labels
+def _abl_counts(ctx, seed):
+    """Per-trial run_trial counts and estimate_abl counts, per outcome label."""
+    labels = ctx.intervening.labels
 
-        def trial_counts(i):
-            outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, trial_stream(seed, i))
-            hit = outcome.intermediate_labels if outcome.post_selected else ()
-            return np.array([label in hit for label in labels], dtype=int)
+    def trial_counts(i):
+        outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, trial_stream(seed, i))
+        hit = outcome.intermediate_labels if outcome.post_selected else ()
+        return np.array([label in hit for label in labels], dtype=int)
 
-        def estimate_counts(trials):
+    def estimate_counts(trials):
+        try:
             stats = estimate_abl(ctx, trials, seed)
-            return np.array([round(stats.frequency(label) * stats.accepted) for label in labels])
+        except NoAcceptedTrials:
+            return np.zeros(len(labels), dtype=int)
+        return np.array([round(stats.frequency(label) * stats.accepted) for label in labels])
 
-        _check_against_trial_loop(monkeypatch, trial_counts, estimate_counts)
+    return trial_counts, estimate_counts
+
+
+def test_estimate_matches_trial_loop_bit_exactly(monkeypatch):
+    # spin-half's table entries, cos^2(pi/8) and sin^2(pi/8), depend on how
+    # the amplitude arithmetic rounds in the last bit
+    for ctx in (three_box().context, three_box().context_for("QA"), spin_half().context):
+        _check_against_trial_loop(monkeypatch, *_abl_counts(ctx, 21))
+
+
+def test_run_trial_matches_estimate_at_largest_dimension():
+    # d = 64 with 47 outcomes: the largest band the benchmark sweeps
+    rng = np.random.default_rng(64)
+    pre, post = random_state(rng, 64), random_state(rng, 64)
+    ctx = SelectionContext(pre, post, random_observable(rng, 64, 47))
+    trial_counts, estimate_counts = _abl_counts(ctx, 3)
+    expected = [trial_counts(i) for i in range(64)]
+    totals = [np.zeros(47, dtype=int)] + [estimate_counts(n) for n in range(1, 65)]
+    assert np.array_equal(np.diff(totals, axis=0), expected)
 
 
 def test_interposition_effect_matches_trial_loop_bit_exactly(monkeypatch):
@@ -202,11 +239,11 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     cumulative = _closed_cumulative(probs)
     special = [0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 2.0**-53, 2.0**-54, 1e-300]
     thresholds = np.where(rng.random(k) < 0.5, rng.choice(special, k), rng.random(k))
-    rising, accept_from = _raw_tables(cumulative, thresholds)
+    rising, accept_from = _raw_bound(cumulative[:-1][::-1]), _raw_bound(thresholds)
 
     x, y = _draws_near(cumulative), _draws_near(thresholds)
     picked = np.searchsorted(cumulative, 1.0 - x, side="left")
-    assert np.array_equal(_branch_index(x, rising), picked)
+    assert np.array_equal(np.broadcast_to(_branch_index(x, rising), x.shape), picked)
 
     # every (x, y) pair as one trial's draws, fed through the chunk kernel
     draws = np.zeros((len(x) * len(y), 4))
@@ -216,16 +253,41 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     accepted = 1.0 - draws[:, 1] <= thresholds[picked]
     expected = np.bincount(picked[accepted], minlength=k)
     monkeypatch.setattr(ensemble, "_chunk_draws", lambda *args: iter([draws]))
-    counts = _chunk_counts_interposed(0, 0, 0, len(draws), rising, accept_from)
+    counts = _chunk_counts(0, 0, 1, rising, accept_from, 0, len(draws))
     assert np.array_equal(counts, expected)
 
+    # no observable: no branch bounds, and column 0 decides the post-selection
     for t in [*special, *thresholds]:
         column = _draws_near([t])
         direct = np.zeros((len(column), 4))
         direct[:, 0] = column
         monkeypatch.setattr(ensemble, "_chunk_draws", lambda *args: iter([direct]))
-        hits = _chunk_count_direct(0, 0, 0, len(column), float(_raw_bound(t)))
-        assert hits == np.count_nonzero(1.0 - column <= t)
+        hits = _chunk_counts(0, 0, 0, np.empty(0), _raw_bound([t]), 0, len(column))
+        assert np.array_equal(hits, [np.count_nonzero(1.0 - column <= t)])
+
+
+class _Draws:
+    """Stands in for a generator: random() returns the given draws in order."""
+
+    def __init__(self, *draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("ctx", [three_box().context, spin_half().context])
+def test_run_trial_reproduces_searchsorted_on_u(ctx):
+    pre, post = ctx.pre.amplitudes, ctx.post.amplitudes
+    _, probs, _, acceptance = _branch_tables(pre, ctx.intervening, post)
+    cumulative = _closed_cumulative(probs)
+    thresholds = [_closed_cumulative([t, 1.0 - t])[0] for t in acceptance]
+    for x in _draws_near(cumulative):
+        k = np.searchsorted(cumulative, 1.0 - x, side="left")
+        for y in _draws_near(thresholds):
+            outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, _Draws(x, y))
+            assert outcome.intermediate_labels == (ctx.intervening.labels[k],)
+            assert outcome.post_selected == (1.0 - y <= thresholds[k])
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
