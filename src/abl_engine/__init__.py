@@ -9,6 +9,8 @@ reproduces it all as relative frequencies.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     MAX_DIM,
     NORM_TOL,
@@ -82,68 +84,12 @@ from .scenarios import (
     three_hole,
 )
 
+# everything imported above, except the submodules themselves
 __all__ = [
     "__version__",
-    "MAX_DIM",
-    "NORM_TOL",
-    "RANK_TOL",
-    "ZERO_PROB_TOL",
-    "COND_TOL",
-    "StateVector",
-    "DensityOperator",
-    "Projector",
-    "Observable",
-    "basis_state",
-    "trivial_observable",
-    "inner",
-    "projector_from_span",
-    "born_prob",
-    "born_prob_pure",
-    "luders_update",
-    "state_to_json",
-    "state_from_json",
-    "observable_to_json",
-    "observable_from_json",
-    "SelectionContext",
-    "ProbabilityDistribution",
-    "WeightAssignment",
-    "OutcomeDecomposition",
-    "DecompositionReport",
-    "ProductRuleReport",
-    "sequential_prob",
-    "marginal_with_Q",
-    "abl",
-    "abl_trivial_reduction",
-    "kastner",
-    "decomposition_check",
-    "interposition_inequality",
-    "product_rule_check",
-    "TrialOutcome",
-    "EnsembleStats",
-    "trial_stream",
-    "run_trial",
-    "estimate_abl",
-    "estimate_interposition_effect",
-    "ScenarioBundle",
-    "ExpectedValue",
-    "three_box",
-    "three_hole",
-    "spin_half",
-    "product_rule_scenario",
-    "SCENARIOS",
-    "DecompositionCase",
-    "decomposition_counterexample",
-    "EngineError",
-    "ValidationError",
-    "ParseError",
-    "DimensionMismatch",
-    "DegenerateSpan",
-    "ImpossibleOutcome",
-    "UnknownOutcomeLabel",
-    "ImpossiblePostSelection",
-    "OrthogonalPrePost",
-    "DegeneratePostObservable",
-    "NonCommutingObservables",
-    "InvalidDirection",
-    "NoAcceptedTrials",
+    *(
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, _ModuleType)
+    ),
 ]

@@ -17,7 +17,8 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from . import __version__
 from .core import (
@@ -39,8 +40,6 @@ from .rules import (
     product_rule_check,
 )
 from .scenarios import SCENARIOS
-
-COMMANDS = ("abl", "kastner", "decomposition", "inequality", "product-rule", "mc", "scenario")
 
 
 @dataclass(frozen=True)
@@ -70,24 +69,14 @@ def _read_file(path: str) -> bytes:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse):
+    """(parse(payload), {path, sha256}) for one input file."""
     raw = _read_file(path)
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    meta = {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
-    return payload, meta
-
-
-def _load_state(path: str) -> tuple[StateVector, dict]:
-    payload, meta = _load_json(path)
-    return state_from_json(payload), meta
-
-
-def _load_observable(path: str) -> tuple[Observable, dict]:
-    payload, meta = _load_json(path)
-    return observable_from_json(payload), meta
+    return parse(payload), {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +110,15 @@ def _flatten(obj, prefix: str, rows: list) -> None:
         rows.append((prefix, obj))
 
 
-def _render_csv(results: dict, table: list | None) -> str:
+def _render_csv(results: dict, sampled: bool) -> str:
+    """Monte Carlo results as one row per outcome; anything else as flattened
+    key/value rows in the results' insertion order."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if table is not None:
+    if sampled:
         writer.writerow(("label", "frequency", "std_error", "analytic_abl", "z_score"))
-        writer.writerows(table)
+        columns = [results[key] for key in ("frequencies", "std_errors", "analytic", "z_scores")]
+        writer.writerows((label, *(column[label] for column in columns)) for label in columns[0])
     else:
         writer.writerow(("key", "value"))
         rows: list = []
@@ -136,175 +128,180 @@ def _render_csv(results: dict, table: list | None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns (inputs, results, mc table or None,
-# seed or None, trials or None)
+# commands
 
 
-def _require(config: RunConfig, *, pre=False, post=False, n_obs=0) -> None:
-    if pre and config.pre is None:
-        raise ValidationError(f"{config.command} requires --pre")
-    if post and config.post is None:
-        raise ValidationError(f"{config.command} requires --post")
-    if len(config.observables) != n_obs:
-        raise ValidationError(
-            f"{config.command} requires exactly {n_obs} --observable argument(s), "
-            f"got {len(config.observables)}"
-        )
+@dataclass(frozen=True)
+class _Inputs:
+    """What a command computes from; trials and seed are None unless sampling."""
+
+    pre: StateVector | None
+    post: StateVector | None
+    observables: tuple[Observable, ...]
+    trials: int | None
+    seed: int | None
+
+    def context(self) -> SelectionContext:
+        return SelectionContext(self.pre, self.post, self.observables[0])
 
 
-def _single_context(config: RunConfig):
-    pre, pre_meta = _load_state(config.pre)
-    post, post_meta = _load_state(config.post)
-    obs, obs_meta = _load_observable(config.observables[0])
-    inputs = {"pre": pre_meta, "post": post_meta, "observables": [obs_meta]}
-    return SelectionContext(pre, post, obs), inputs
+def _two_time(inputs: _Inputs) -> dict:
+    ctx = inputs.context()
+    if inputs.trials is None:
+        return {"abl": abl(ctx).as_dict(), "marginal_with_Q": marginal_with_Q(ctx)}
+    stats = estimate_abl(ctx, inputs.trials, inputs.seed)
+    analytic = abl(ctx)
+    results = stats_to_json(stats)
+    results["analytic"] = analytic.as_dict()
+    results["z_scores"] = {label: z for label, *_, z in stats_csv_rows(stats, analytic)}
+    return results
 
 
-def _cmd_abl(config: RunConfig):
-    _require(config, pre=True, post=True, n_obs=1)
-    ctx, inputs = _single_context(config)
-    results = {
-        "abl": abl(ctx).as_dict(),
-        "marginal_with_Q": marginal_with_Q(ctx),
-    }
-    return inputs, results, None, None, None
-
-
-def _cmd_kastner(config: RunConfig):
-    _require(config, pre=True, post=True, n_obs=1)
-    ctx, inputs = _single_context(config)
+def _kastner(inputs: _Inputs) -> dict:
+    ctx = inputs.context()
     weights = kastner(ctx)
-    results = {
+    return {
         "weights": weights.as_dict(),
         "total": weights.total(),
         "direct_prob": abs(inner(ctx.pre, ctx.post)) ** 2,
         "marginal_with_Q": marginal_with_Q(ctx),
     }
-    return inputs, results, None, None, None
 
 
-def _cmd_decomposition(config: RunConfig):
-    _require(config, pre=True, n_obs=2)
-    pre, pre_meta = _load_state(config.pre)
-    q, q_meta = _load_observable(config.observables[0])
-    b_obs, b_meta = _load_observable(config.observables[1])
-    inputs = {"pre": pre_meta, "observables": [q_meta, b_meta]}
-    report = decomposition_check(pre, q, b_obs)
-    results = {
+def _decomposition(inputs: _Inputs) -> dict:
+    report = decomposition_check(inputs.pre, *inputs.observables)
+    return {
         "which_condition": report.which_condition,
         "conditions_hold": report.conditions_hold,
         "max_residual": report.max_residual,
-        "outcomes": [
-            {"label": row.label, "lhs": row.lhs, "rhs": row.rhs, "residual": row.residual}
-            for row in report.outcomes
-        ],
+        "outcomes": [asdict(row) for row in report.outcomes],
     }
-    return inputs, results, None, None, None
 
 
-def _cmd_inequality(config: RunConfig):
-    _require(config, pre=True, post=True, n_obs=1)
-    pre, pre_meta = _load_state(config.pre)
-    post, post_meta = _load_state(config.post)
-    obs, obs_meta = _load_observable(config.observables[0])
-    inputs = {"pre": pre_meta, "post": post_meta, "observables": [obs_meta]}
-    p_direct, p_with_q = interposition_inequality(pre, obs, post)
-    results = {
-        "p_direct": p_direct,
-        "p_with_Q": p_with_q,
-        "difference": p_with_q - p_direct,
-    }
-    return inputs, results, None, None, None
+def _inequality(inputs: _Inputs) -> dict:
+    p_direct, p_with_q = interposition_inequality(inputs.pre, inputs.observables[0], inputs.post)
+    return {"p_direct": p_direct, "p_with_Q": p_with_q, "difference": p_with_q - p_direct}
 
 
-def _cmd_product_rule(config: RunConfig):
-    _require(config, pre=True, post=True, n_obs=2)
-    pre, pre_meta = _load_state(config.pre)
-    post, post_meta = _load_state(config.post)
-    x, x_meta = _load_observable(config.observables[0])
-    y, y_meta = _load_observable(config.observables[1])
-    inputs = {"pre": pre_meta, "post": post_meta, "observables": [x_meta, y_meta]}
-    report = product_rule_check(pre, post, x, y)
-    results = {
-        "x_label": report.x_label,
-        "y_label": report.y_label,
-        "x_probability": report.x_probability,
-        "y_probability": report.y_probability,
-        "product_norm": report.product_norm,
-        "product_is_zero": report.product_is_zero,
-        "violation": report.violation,
-    }
-    return inputs, results, None, None, None
+def _product_rule(inputs: _Inputs) -> dict:
+    return asdict(product_rule_check(inputs.pre, inputs.post, *inputs.observables))
 
 
-def _mc_results(ctx: SelectionContext, trials: int, seed: int):
-    stats = estimate_abl(ctx, trials, seed)
-    analytic = abl(ctx)
-    table = stats_csv_rows(stats, analytic)
-    results = stats_to_json(stats)
-    results["analytic"] = analytic.as_dict()
-    results["z_scores"] = {label: z for label, _, _, _, z in table}
-    return results, table
+@dataclass(frozen=True)
+class _Command:
+    """One CLI command: its help, the inputs it requires, and its results.
+
+    `states` lists the required state options in the order they are checked;
+    a `builtin` command reads a named scenario instead of files and samples
+    only with --mc, while a `sampled` one always does.
+    """
+
+    help: str
+    states: tuple[str, ...]
+    observables: int
+    results: Callable[[_Inputs], dict]
+    observable_help: str = "JSON file with the interposed observable"
+    sampled: bool = False
+    builtin: bool = False
 
 
-def _cmd_mc(config: RunConfig):
-    _require(config, pre=True, post=True, n_obs=1)
-    if config.trials < 1:
-        raise ValidationError("trials must be at least 1")
-    ctx, inputs = _single_context(config)
-    results, table = _mc_results(ctx, config.trials, config.seed)
-    return inputs, results, table, config.seed, config.trials
+_COMMANDS = {
+    "abl": _Command("two-time conditional distribution", ("pre", "post"), 1, _two_time),
+    "kastner": _Command("rival rule weights", ("pre", "post"), 1, _kastner),
+    "decomposition": _Command(
+        "decomposition identity check",
+        ("pre",),
+        2,
+        _decomposition,
+        "two uses: first the probed observable, then the final rank-1 basis",
+    ),
+    "inequality": _Command(
+        "post-selection probability with and without the observable",
+        ("pre", "post"),
+        1,
+        _inequality,
+    ),
+    "product-rule": _Command(
+        "product rule check for two commuting observables",
+        ("pre", "post"),
+        2,
+        _product_rule,
+        "two uses: first observable x, then observable y",
+    ),
+    "mc": _Command(
+        "Monte Carlo estimate of the two-time distribution",
+        ("pre", "post"),
+        1,
+        _two_time,
+        sampled=True,
+    ),
+    "scenario": _Command("run a built-in scenario", (), 0, _two_time, builtin=True),
+}
 
 
-def _cmd_scenario(config: RunConfig):
+def _scenario_inputs(config: RunConfig):
     if config.scenario not in SCENARIOS:
         raise ValidationError(
             f"unknown scenario {config.scenario!r}; choose from {', '.join(sorted(SCENARIOS))}"
         )
     bundle = SCENARIOS[config.scenario]()
     variant = config.variant if config.variant is not None else bundle.variants[0][0]
-    ctx = bundle.context_for(variant)
-    inputs = {"scenario": {"name": bundle.name, "variant": variant}}
-    if config.mc:
-        if config.trials < 1:
-            raise ValidationError("trials must be at least 1")
-        results, table = _mc_results(ctx, config.trials, config.seed)
-        return inputs, results, table, config.seed, config.trials
-    results = {
-        "abl": abl(ctx).as_dict(),
-        "marginal_with_Q": marginal_with_Q(ctx),
-    }
-    return inputs, results, None, None, None
+    meta = {"scenario": {"name": bundle.name, "variant": variant}}
+    return bundle.context.pre, bundle.context.post, (bundle.variant(variant),), meta
 
 
-_HANDLERS = {
-    "abl": _cmd_abl,
-    "kastner": _cmd_kastner,
-    "decomposition": _cmd_decomposition,
-    "inequality": _cmd_inequality,
-    "product-rule": _cmd_product_rule,
-    "mc": _cmd_mc,
-    "scenario": _cmd_scenario,
-}
+def _file_inputs(command: _Command, config: RunConfig):
+    states, meta = {}, {}
+    for name in command.states:
+        states[name], meta[name] = _load_json(getattr(config, name), state_from_json)
+    loaded = [_load_json(path, observable_from_json) for path in config.observables]
+    meta["observables"] = [obs_meta for _, obs_meta in loaded]
+    observables = tuple(obs for obs, _ in loaded)
+    return states.get("pre"), states.get("post"), observables, meta
+
+
+def _load(command: _Command, config: RunConfig) -> tuple[_Inputs, dict]:
+    """Check and load a command's inputs. A scenario is checked by name, then
+    variant, then trials; files by the required options, then trials, then
+    each file in order."""
+    if command.builtin:
+        pre, post, observables, meta = _scenario_inputs(config)
+    else:
+        for name in command.states:
+            if getattr(config, name) is None:
+                raise ValidationError(f"{config.command} requires --{name}")
+        if len(config.observables) != command.observables:
+            raise ValidationError(
+                f"{config.command} requires exactly {command.observables} "
+                f"--observable argument(s), got {len(config.observables)}"
+            )
+    sampled = command.sampled or (command.builtin and config.mc)
+    if sampled and config.trials < 1:
+        raise ValidationError("trials must be at least 1")
+    if not command.builtin:
+        pre, post, observables, meta = _file_inputs(command, config)
+    trials, seed = (config.trials, config.seed) if sampled else (None, None)
+    return _Inputs(pre, post, observables, trials, seed), meta
 
 
 def run(config: RunConfig) -> int:
-    if config.command not in _HANDLERS:
+    command = _COMMANDS.get(config.command)
+    if command is None:
         raise ValidationError(f"unknown command {config.command!r}")
     if config.output_format not in ("json", "csv"):
         raise ValidationError("format must be json or csv")
-    inputs, results, table, seed, trials = _HANDLERS[config.command](config)
-    results = _round_tree(results)
+    inputs, meta = _load(command, config)
+    results = _round_tree(command.results(inputs))
     if config.output_format == "csv":
-        text = _render_csv(results, _round_tree(table) if table is not None else None)
+        text = _render_csv(results, inputs.trials is not None)
     else:
         report = {
             "tool": "abl-engine",
             "version": __version__,
             "command": config.command,
-            "inputs": inputs,
-            "seed": seed,
-            "trials": trials,
+            "inputs": meta,
+            "seed": inputs.seed,
+            "trials": inputs.trials,
             "results": results,
         }
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -327,61 +324,34 @@ def _build_parser() -> argparse.ArgumentParser:
         "post-selected quantum measurements.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    def add_io(p: argparse.ArgumentParser, observables_help: str) -> None:
-        p.add_argument("--pre", help="JSON file with the pre-selection state")
-        p.add_argument("--post", help="JSON file with the post-selection state")
-        p.add_argument(
-            "--observable",
-            action="append",
-            dest="observables",
-            default=[],
-            metavar="PATH",
-            help=observables_help,
-        )
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-    for name, blurb, obs_help in (
-        ("abl", "two-time conditional distribution", "JSON file with the interposed observable"),
-        ("kastner", "rival rule weights", "JSON file with the interposed observable"),
-        (
-            "decomposition",
-            "decomposition identity check",
-            "two uses: first the probed observable, then the final rank-1 basis",
-        ),
-        (
-            "inequality",
-            "post-selection probability with and without the observable",
-            "JSON file with the interposed observable",
-        ),
-        (
-            "product-rule",
-            "product rule check for two commuting observables",
-            "two uses: first observable x, then observable y",
-        ),
-        ("mc", "Monte Carlo estimate of the two-time distribution", "JSON file with the interposed observable"),
-    ):
-        p = sub.add_parser(name, help=blurb)
-        add_io(p, obs_help)
-        if name == "mc":
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.builtin:
+            p.add_argument(
+                "scenario",
+                metavar="NAME",
+                help=f"one of: {', '.join(sorted(SCENARIOS))}",
+            )
+            p.add_argument("--variant", help="which intervening observable to use")
+            p.add_argument(
+                "--mc", action="store_true", help="estimate instead of computing analytically"
+            )
+        else:
+            p.add_argument("--pre", help="JSON file with the pre-selection state")
+            p.add_argument("--post", help="JSON file with the post-selection state")
+            p.add_argument(
+                "--observable",
+                action="append",
+                dest="observables",
+                default=[],
+                metavar="PATH",
+                help=command.observable_help,
+            )
+        if command.sampled or command.builtin:
             p.add_argument("--trials", type=int, default=100000)
             p.add_argument("--seed", type=int, default=0)
-        add_common(p)
-
-    p = sub.add_parser("scenario", help="run a built-in scenario")
-    p.add_argument(
-        "scenario",
-        metavar="NAME",
-        help=f"one of: {', '.join(sorted(SCENARIOS))}",
-    )
-    p.add_argument("--variant", help="which intervening observable to use")
-    p.add_argument("--mc", action="store_true", help="estimate instead of computing analytically")
-    p.add_argument("--trials", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     return parser
 
 
@@ -396,7 +366,7 @@ def _parse_args(argv) -> RunConfig:
         observables=tuple(getattr(args, "observables", ()) or ()),
         scenario=getattr(args, "scenario", None),
         variant=getattr(args, "variant", None),
-        mc=bool(getattr(args, "mc", False)) or args.command == "mc",
+        mc=getattr(args, "mc", False),
         trials=getattr(args, "trials", 100000),
         seed=getattr(args, "seed", 0),
         output_format=args.format,

@@ -42,31 +42,45 @@ def _amp_through(pre: StateVector, p: Projector, post: StateVector) -> complex:
     return complex(np.vdot(pre.amplitudes, p.matrix @ post.amplitudes))
 
 
+def _transition_weights(
+    pre: StateVector, observable: Observable, post: StateVector
+) -> tuple[float, ...]:
+    """|<a|P_k|b>|^2 for each outcome, clamped to at most 1.
+
+    This is the one rule for what is impossible: a weight at or below
+    ZERO_PROB_TOL snaps to exactly 0, and a pre/post pair whose weights all
+    snap is unreachable.
+    """
+    weights = (min(abs(_amp_through(pre, p, post)) ** 2, 1.0) for p in observable.outcomes)
+    return tuple(0.0 if value <= ZERO_PROB_TOL else value for value in weights)
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionContext:
     """Pre-selection |a>, post-selection |b>, and the observable interposed between them.
 
     Time parameters are ordering labels only; nothing evolves between the
     measurements. Construction fails if the pre/post pair is unreachable
-    with the observable interposed.
+    with the observable interposed, that is, if every transition weight
+    snaps to zero; `abl` divides by the sum of those same weights.
     """
 
     pre: StateVector
     post: StateVector
     intervening: Observable
+    # per-outcome |<a|P_k|b>|^2, snapped by _transition_weights
+    transition_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         dims = {self.pre.dim, self.post.dim, self.intervening.dim}
         if len(dims) != 1:
             raise DimensionMismatch(f"context dims differ: {sorted(dims)}")
-        reach = sum(
-            abs(_amp_through(self.pre, p, self.post)) ** 2
-            for p in self.intervening.outcomes
-        )
-        if reach <= ZERO_PROB_TOL:
+        weights = _transition_weights(self.pre, self.intervening, self.post)
+        if sum(weights) <= ZERO_PROB_TOL:
             raise ImpossiblePostSelection(
                 "pre/post pair is unreachable with this observable interposed"
             )
+        object.__setattr__(self, "transition_weights", weights)
 
     @property
     def dim(self) -> int:
@@ -183,25 +197,17 @@ def abl(ctx: SelectionContext) -> ProbabilityDistribution:
     """Two-time conditional distribution over the interposed outcomes.
 
     p(q|a,b) = |<a|P_q|b>|^2 / sum_j |<a|P_j|b>|^2. Outcomes whose
-    transition amplitude vanishes get probability exactly zero.
+    transition amplitude vanishes get probability exactly zero. The context
+    holds the snapped weights and was refused if they sum to zero, so the
+    ABL rule succeeds on every context that can be built.
     """
-    numerators = [
-        (label, sequential_prob(ctx, label)) for label in ctx.intervening.labels
-    ]
-    # vanishing transition amplitudes mean nomologically impossible outcomes;
-    # snap them so those entries come out exactly 0 (matching the sampler,
-    # which never draws such branches)
-    numerators = [
-        (label, 0.0 if value <= ZERO_PROB_TOL else value)
-        for label, value in numerators
-    ]
-    denominator = sum(value for _, value in numerators)
-    if denominator <= ZERO_PROB_TOL:
-        raise ImpossiblePostSelection(
-            "post-selection cannot co-occur with this observable interposed"
-        )
+    weights = ctx.transition_weights
+    denominator = sum(weights)
     return ProbabilityDistribution(
-        tuple((label, value / denominator) for label, value in numerators)
+        tuple(
+            (label, value / denominator)
+            for label, value in zip(ctx.intervening.labels, weights)
+        )
     )
 
 
@@ -345,6 +351,8 @@ def product_rule_check(
     violation when both probabilities are one yet the product of the
     designated projectors is the zero operator.
     """
+    if not pre.dim == post.dim == x.dim == y.dim:
+        raise DimensionMismatch("states and both observables must share one dimension")
     for px in x.outcomes:
         for py in y.outcomes:
             commutator = px.matrix @ py.matrix - py.matrix @ px.matrix

@@ -282,3 +282,113 @@ def test_run_config_direct_use(tmp_path):
     config = RunConfig(command="scenario", scenario="three-box", variant="QB", out_path=str(out))
     assert run(config) == 0
     assert json.loads(out.read_text())["results"]["abl"]["B"] == 1.0
+
+
+# every file command's required inputs, written out independently of the CLI
+FILE_COMMANDS = {
+    "abl": (("pre", "post"), ("q",)),
+    "kastner": (("pre", "post"), ("q",)),
+    "decomposition": (("pre",), ("q", "basis")),
+    "inequality": (("pre", "post"), ("q",)),
+    "product-rule": (("pre", "post"), ("qa", "qb")),
+    "mc": (("pre", "post"), ("q",)),
+}
+
+
+@pytest.fixture
+def sweep_files(tmp_path, box_files):
+    basis = Observable(
+        (
+            projector_from_span([abl_engine.StateVector.normalized([1, 1, 1])], "b0"),
+            projector_from_span([abl_engine.StateVector.normalized([1, -1, 0])], "b1"),
+            projector_from_span([abl_engine.StateVector.normalized([1, 1, -2])], "b2"),
+        )
+    )
+    qubit = Observable(
+        (
+            projector_from_span([basis_state(2, 0)], "up"),
+            projector_from_span([basis_state(2, 1)], "down"),
+        )
+    )
+    extra = {
+        "basis": observable_to_json(basis),
+        "state2": state_to_json(basis_state(2, 0)),
+        "obs2": observable_to_json(qubit),
+    }
+    files = {"pre": box_files["a"], "post": box_files["b"], **box_files}
+    for name, payload in extra.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        files[name] = str(path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    files["bad"] = str(bad)
+    files["missing"] = str(tmp_path / "missing.json")
+    return files
+
+
+def _argv(command, states, observables):
+    argv = [command]
+    for name, path in states.items():
+        argv += [f"--{name}", path]
+    for path in observables:
+        argv += ["--observable", path]
+    return argv + (["--trials", "2000"] if command == "mc" else [])
+
+
+def _failing_argvs(command, files):
+    """(argv, expected error code) for each malformed input of one command."""
+    if command == "scenario":
+        yield ["scenario", "no-such-scenario"], "ValidationError"
+        yield ["scenario", "three-box", "--variant", "no-such-variant"], "ValidationError"
+        yield ["scenario", "three-box", "--mc", "--trials", "0"], "ValidationError"
+        return
+    state_names, obs_names = FILE_COMMANDS[command]
+    states = {name: files[name] for name in state_names}
+    observables = [files[name] for name in obs_names]
+    yield _argv(command, states, observables[:-1]), "ValidationError"
+    yield _argv(command, states, observables + observables[:1]), "ValidationError"
+    for name in state_names:
+        dropped = {key: path for key, path in states.items() if key != name}
+        yield _argv(command, dropped, observables), "ValidationError"
+    for replacement, code in (("missing", "ParseError"), ("bad", "ParseError")):
+        for name in state_names:
+            yield _argv(command, {**states, name: files[replacement]}, observables), code
+        for index in range(len(observables)):
+            swapped = observables[:index] + [files[replacement]] + observables[index + 1:]
+            yield _argv(command, states, swapped), code
+    for name in state_names:
+        yield _argv(command, {**states, name: files["state2"]}, observables), "DimensionMismatch"
+    for index in range(len(observables)):
+        swapped = observables[:index] + [files["obs2"]] + observables[index + 1:]
+        yield _argv(command, states, swapped), "DimensionMismatch"
+
+
+@pytest.mark.parametrize("command", [*FILE_COMMANDS, "scenario"])
+def test_malformed_inputs_exit_2_with_a_typed_code(command, capsys, sweep_files):
+    cases = list(_failing_argvs(command, sweep_files))
+    assert cases
+    for argv, expected in cases:
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["code"] == expected, argv
+
+
+def test_unreachable_pair_is_one_error_for_every_command(capsys, tmp_path):
+    # eight transition weights of about 5e-13 each: every one snaps to 0
+    e = 2.83e-6
+    payloads = {
+        "pre": state_to_json(abl_engine.StateVector.normalized([1.0] * 4 + [e] * 4)),
+        "post": state_to_json(abl_engine.StateVector.normalized([e] * 4 + [1.0] * 4)),
+        "q": observable_to_json(
+            Observable(tuple(projector_from_span([basis_state(8, i)], str(i)) for i in range(8)))
+        ),
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    files = {name: str(tmp_path / f"{name}.json") for name in payloads}
+    for command in ("abl", "kastner", "mc"):
+        argv = _argv(command, {"pre": files["pre"], "post": files["post"]}, [files["q"]])
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["code"] == "ImpossiblePostSelection", command

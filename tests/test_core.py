@@ -261,3 +261,28 @@ def test_state_from_json_rejects_malformed(payload):
 def test_observable_from_json_rejects_malformed(payload):
     with pytest.raises(ParseError):
         observable_from_json(payload)
+
+
+def test_public_names_are_pinned():
+    import abl_engine
+
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 63
+    assert set(abl_engine.__all__) == {
+        "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL", "COND_TOL",
+        "StateVector", "DensityOperator", "Projector", "Observable", "basis_state",
+        "trivial_observable", "inner", "projector_from_span", "born_prob", "born_prob_pure",
+        "luders_update", "state_to_json", "state_from_json", "observable_to_json",
+        "observable_from_json", "SelectionContext", "ProbabilityDistribution",
+        "WeightAssignment", "OutcomeDecomposition", "DecompositionReport", "ProductRuleReport",
+        "sequential_prob", "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",
+        "decomposition_check", "interposition_inequality", "product_rule_check",
+        "TrialOutcome", "EnsembleStats", "trial_stream", "run_trial", "estimate_abl",
+        "estimate_interposition_effect", "ScenarioBundle", "ExpectedValue", "three_box",
+        "three_hole", "spin_half", "product_rule_scenario", "SCENARIOS", "DecompositionCase",
+        "decomposition_counterexample", "EngineError", "ValidationError", "ParseError",
+        "DimensionMismatch", "DegenerateSpan", "ImpossibleOutcome", "UnknownOutcomeLabel",
+        "ImpossiblePostSelection", "OrthogonalPrePost", "DegeneratePostObservable",
+        "NonCommutingObservables", "InvalidDirection", "NoAcceptedTrials",
+    }
+    for name in abl_engine.__all__:
+        assert hasattr(abl_engine, name), name

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abl_engine import (
@@ -22,6 +22,7 @@ from abl_engine import (
     StateVector,
     ValidationError,
     WeightAssignment,
+    ZERO_PROB_TOL,
     abl,
     abl_trivial_reduction,
     basis_state,
@@ -96,6 +97,58 @@ def test_context_validation():
         SelectionContext(a, b, Observable((pa, rest)))
     with pytest.raises(DimensionMismatch):
         SelectionContext(a, basis_state(2, 0), Observable((pa, rest)))
+
+
+def _split_basis_context(e, group_of):
+    """d = 8, a ∝ (1,1,1,1,e,e,e,e), b ∝ (e,e,e,e,1,1,1,1), and an observable
+    whose outcome g projects on the basis vectors i with group_of[i] == g."""
+    a = StateVector.normalized([1.0] * 4 + [e] * 4)
+    b = StateVector.normalized([e] * 4 + [1.0] * 4)
+    groups = sorted(set(group_of))
+    obs = Observable(
+        tuple(
+            projector_from_span(
+                [basis_state(8, i) for i, g in enumerate(group_of) if g == group], f"g{group}"
+            )
+            for group in groups
+        )
+    )
+    # closed form: every basis vector contributes a_i b_i = e / (4 + 4 e^2)
+    weights = [
+        (group_of.count(group) * e / (4.0 + 4.0 * e * e)) ** 2 for group in groups
+    ]
+    return a, b, obs, weights
+
+
+def test_context_refuses_pairs_whose_every_weight_snaps():
+    # each of the eight weights is about 5e-13, below the 1e-12 snap, while
+    # their sum is 4e-12; the context used to accept the pair that abl refused
+    a, b, obs, weights = _split_basis_context(2.83e-6, list(range(8)))
+    assert max(weights) < ZERO_PROB_TOL < sum(weights)
+    with pytest.raises(ImpossiblePostSelection):
+        SelectionContext(a, b, obs)
+
+
+@settings(deadline=None)
+@given(
+    st.floats(1e-7, 1e-5),
+    st.lists(st.integers(0, 7), min_size=8, max_size=8),
+)
+def test_context_builds_iff_abl_succeeds(e, group_of):
+    a, b, obs, weights = _split_basis_context(e, group_of)
+    snapped = [0.0 if w <= ZERO_PROB_TOL else w for w in weights]
+    for value in weights + [sum(snapped)]:
+        assume(abs(value - ZERO_PROB_TOL) > 1e-9 * ZERO_PROB_TOL)
+    try:
+        ctx = SelectionContext(a, b, obs)
+    except ImpossiblePostSelection:
+        assert sum(snapped) <= ZERO_PROB_TOL
+        return
+    assert sum(snapped) > ZERO_PROB_TOL
+    dist = abl(ctx)
+    for label, w in zip(obs.labels, snapped):
+        assert (dist[label] == 0.0) == (w == 0.0)
+        assert dist[label] == pytest.approx(w / sum(snapped), rel=1e-9)
 
 
 def test_sequential_prob_unknown_label():
@@ -489,6 +542,14 @@ def test_product_rule_rejects_noncommuting():
     plus = StateVector.normalized([1.0, 1.0])
     with pytest.raises(NonCommutingObservables):
         product_rule_check(plus, plus, _sigma_z(), _sigma_x_basis())
+
+
+def test_product_rule_rejects_mixed_dimensions():
+    a, b, _, qa, qb = _boxes()
+    with pytest.raises(DimensionMismatch):
+        product_rule_check(a, b, qa, _sigma_z())
+    with pytest.raises(DimensionMismatch):
+        product_rule_check(StateVector.normalized([1.0, 1.0]), b, qa, qb)
 
 
 def test_product_rule_label_overrides():
