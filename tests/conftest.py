@@ -4,9 +4,17 @@ Everything is driven by an explicit numpy Generator so each test fixes its
 own seed; nothing here touches global RNG state.
 """
 
+import math
+
 import numpy as np
 
-from abl_engine import Observable, SelectionContext, StateVector, projector_from_span
+from abl_engine import (
+    Observable,
+    SelectionContext,
+    StateVector,
+    basis_state,
+    projector_from_span,
+)
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
@@ -57,3 +65,17 @@ def random_context(
         if marginal_with_Q(ctx) >= min_marginal:
             return ctx
     raise AssertionError("could not draw a usable random context")
+
+
+def snapped_weight_context() -> SelectionContext:
+    """d = 2 with the basis observable, a = (sqrt 0.1, sqrt 0.9) and
+    b = (e, sqrt(1 - e^2)), e^2 = 5e-12. Outcome 0's transition weight
+    0.1 e^2 = 5e-13 snaps to 0, while neither its branch probability 0.1 nor
+    its conditional acceptance e^2 does."""
+    e = math.sqrt(5e-12)
+    a = StateVector(np.array([math.sqrt(0.1), math.sqrt(0.9)], dtype=complex))
+    b = StateVector(np.array([e, math.sqrt(1.0 - e * e)], dtype=complex))
+    basis = Observable(
+        tuple(projector_from_span([basis_state(2, i)], f"z{i}") for i in range(2))
+    )
+    return SelectionContext(a, b, basis)

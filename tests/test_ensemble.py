@@ -4,9 +4,12 @@ import math
 import os
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abl_engine import (
     DimensionMismatch,
@@ -34,6 +37,7 @@ from abl_engine import ensemble
 from abl_engine.ensemble import (
     CHUNK_TRIALS,
     SUB_BATCH_TRIALS,
+    _accept_bound,
     _branch_index,
     _branch_tables,
     _chunk_counts,
@@ -44,7 +48,12 @@ from abl_engine.ensemble import (
     stats_csv_rows,
     stats_to_json,
 )
-from conftest import random_context, random_observable, random_state
+from conftest import (
+    random_context,
+    random_observable,
+    random_state,
+    snapped_weight_context,
+)
 
 
 def test_trial_stream_is_deterministic_and_distinct():
@@ -288,6 +297,61 @@ def test_run_trial_reproduces_searchsorted_on_u(ctx):
             outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, _Draws(x, y))
             assert outcome.intermediate_labels == (ctx.intervening.labels[k],)
             assert outcome.post_selected == (1.0 - y <= thresholds[k])
+
+
+# The exact law of the sampler. A draw is x = m * 2**-53 with m uniform on
+# [0, 2**53), and every bound the kernels compare it with is a multiple of
+# 2**-53, so P(x < bound) = bound exactly: the chance that a trial takes
+# branch k and passes the post-selection is a dyadic rational read off the
+# tables without a single draw.
+
+# |law_k - abl_k * sum(law)| in units of 2**-53: each of the two bounds that
+# fix law_k is off by less than one unit after its floor, plus the rounding
+# of the cumulative sum. Dividing by sum(law), the acceptance rate, scales
+# the same bound up for law_k / sum(law).
+LAW_ULPS = 4
+
+
+def _exact_law(ctx):
+    _, _, rising, acceptance = _branch_tables(
+        ctx.pre.amplitudes, ctx.intervening, ctx.post.amplitudes
+    )
+    bounds = [Fraction(b) for b in [*rising, *map(_accept_bound, acceptance)]]
+    assert all((b * 2**53).denominator == 1 for b in bounds)
+    # the branch is the number of rising bounds above x, so branch j owns
+    # [edges[k - 1 - j], edges[k - j]); acceptance needs x >= its bound
+    edges = [Fraction(0), *bounds[: len(rising)], Fraction(1)]
+    k = len(acceptance)
+    return [
+        (edges[k - j] - edges[k - 1 - j]) * (1 - accept)
+        for j, accept in enumerate(bounds[len(rising):])
+    ]
+
+
+def _assert_law_is_abl(ctx):
+    law = _exact_law(ctx)
+    total = sum(law)
+    for weight, (label, value) in zip(law, abl(ctx).entries):
+        assert (weight == 0) == (value == 0.0), label
+        assert abs(weight / total - Fraction(value)) <= LAW_ULPS * Fraction(1, 2**53) / total, label
+
+
+LAW_CONTEXTS = {
+    **{f"three-box-{name}": three_box().context_for(name) for name in three_box().variant_names},
+    "spin-half": spin_half().context,
+    "snapped-weight": snapped_weight_context(),
+}
+
+
+@pytest.mark.parametrize("name", LAW_CONTEXTS)
+def test_sampler_law_is_abl(name):
+    _assert_law_is_abl(LAW_CONTEXTS[name])
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 16))
+def test_sampler_law_is_abl_on_random_contexts(seed, dim):
+    _assert_law_is_abl(random_context(np.random.default_rng(seed), dim))
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
