@@ -28,7 +28,7 @@ from .core import (
     observable_from_json,
     state_from_json,
 )
-from .ensemble import estimate_abl, stats_csv_rows, stats_to_json
+from .ensemble import _check_trials, estimate_abl, stats_csv_rows, stats_to_json
 from .errors import EngineError, ParseError, ValidationError
 from .rules import (
     SelectionContext,
@@ -276,8 +276,8 @@ def _load(command: _Command, config: RunConfig) -> tuple[_Inputs, dict]:
                 f"--observable argument(s), got {len(config.observables)}"
             )
     sampled = command.sampled or (command.builtin and config.mc)
-    if sampled and config.trials < 1:
-        raise ValidationError("trials must be at least 1")
+    if sampled:
+        _check_trials(config.trials)
     if not command.builtin:
         pre, post, observables, meta = _file_inputs(command, config)
     trials, seed = (config.trials, config.seed) if sampled else (None, None)
@@ -317,13 +317,21 @@ def run(config: RunConfig) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a ValidationError (exit 2 with a {code, message} object) instead
+    of printing usage; subparsers are made with the same class."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="abl-engine",
         description="Probability rules and Monte Carlo checks for pre- and "
         "post-selected quantum measurements.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         if command.builtin:
@@ -357,8 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_args(argv) -> RunConfig:
     args = _build_parser().parse_args(argv)
-    if args.command is None:
-        raise ValidationError("a command is required; see --help")
     return RunConfig(
         command=args.command,
         pre=getattr(args, "pre", None),
@@ -380,8 +386,6 @@ def main(argv=None) -> int:
     except EngineError as exc:
         sys.stderr.write(json.dumps({"code": exc.code, "message": str(exc)}) + "\n")
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(
             json.dumps({"code": "InternalError", "message": f"{type(exc).__name__}: {exc}"})

@@ -28,10 +28,13 @@ import numpy as np
 
 from .core import ZERO_PROB_TOL, Observable, StateVector
 from .errors import DimensionMismatch, NoAcceptedTrials, ValidationError
-from .rules import ProbabilityDistribution, SelectionContext
+from .rules import ProbabilityDistribution, SelectionContext, _transition_weights
 
 DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four doubles
 CHUNK_TRIALS = 1 << 16  # fixed chunking keeps results thread-count independent
+# 2**40 trials take most of a day at about 1.6e7 trials/s on one core of a
+# 2-core x86-64 host; a larger count is refused before any work starts.
+MAX_TRIALS = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,11 @@ class EnsembleStats:
 
 # ---------------------------------------------------------------------------
 # deterministic per-trial streams
+
+
+def _check_trials(trials: int) -> None:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError(f"trials must be in 1..2**40, got {trials}")
 
 
 def _validate_seed(seed: int) -> int:
@@ -167,8 +175,8 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
     """One ideal measurement of the pure state psi before the post-selection
     on |post>: the projected vectors P_k psi, their probabilities
     p_k = ||P_k psi||^2, the raw-draw bounds that _branch_index takes, and
-    each branch's acceptance |<post|P_k psi>|^2 / p_k (0 if never drawn).
-    With no observable, psi is the one branch, taken with p = 1."""
+    each branch's acceptance, its snapped transition weight over p_k (0 if
+    never drawn). With no observable, psi is the one branch, taken with p = 1."""
     if len(post) != len(psi) or (observable is not None and observable.dim != len(psi)):
         raise DimensionMismatch("pre, post, and observables must share one dimension")
     if observable is None:
@@ -176,10 +184,8 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
     else:
         projected = [p.matrix @ psi for p in observable.outcomes]
         probs = np.array([np.vdot(v, v).real for v in projected])
-    overlaps = np.array([abs(np.vdot(post, v)) ** 2 for v in projected])
-    acceptance = np.divide(
-        overlaps, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL
-    )
+    weights = np.array(_transition_weights(psi, observable, post))
+    acceptance = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL)
     rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
     return projected, probs, rising, acceptance
 
@@ -268,11 +274,9 @@ def _worker_count(chunks: int) -> int:
     return min(_thread_count(), chunks, os.cpu_count() or 1)
 
 
-def _chunk_ranges(trials: int) -> list[tuple[int, int]]:
-    return [
-        (start, min(CHUNK_TRIALS, trials - start))
-        for start in range(0, trials, CHUNK_TRIALS)
-    ]
+def _chunk_ranges(trials: int) -> range:
+    """Chunk starts, lazily: chunk s holds trials [s, min(s + CHUNK_TRIALS, trials))."""
+    return range(0, trials, CHUNK_TRIALS)
 
 
 def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
@@ -309,14 +313,19 @@ def _chunk_counts(
     return counts[k:]
 
 
-def _map_chunks(fn, trials: int):
-    chunks = _chunk_ranges(trials)
-    workers = _worker_count(len(chunks))
+def _map_chunks(fn, trials: int) -> np.ndarray:
+    """Sum of fn(start, count) over the chunks. Worker w sums every workers-th
+    chunk from chunk w on, so nothing is held per chunk."""
+    starts = _chunk_ranges(trials)
+    workers = _worker_count(len(starts))
+
+    def share(first: int) -> np.ndarray:
+        return sum(fn(s, min(CHUNK_TRIALS, trials - s)) for s in starts[first::workers])
+
     if workers <= 1:
-        return [fn(start, count) for start, count in chunks]
+        return share(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, start, count) for start, count in chunks]
-        return [f.result() for f in futures]
+        return sum(pool.map(share, range(workers)))
 
 
 def _post_selected_counts(
@@ -329,14 +338,13 @@ def _post_selected_counts(
 ) -> np.ndarray:
     """Post-selected trials per branch of the observable (one entry when
     there is none) over trials [0, trials) of the stream."""
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    _check_trials(trials)
     seed = _validate_seed(seed)
     _, _, rising, acceptance = _branch_tables(pre.amplitudes, observable, post.amplitudes)
     accept_from = np.array([_accept_bound(t) for t in acceptance])
     n_observables = 0 if observable is None else 1
     chunk_counts = partial(_chunk_counts, seed, stream, n_observables, rising, accept_from)
-    return np.sum(_map_chunks(chunk_counts, trials), axis=0)
+    return _map_chunks(chunk_counts, trials)
 
 
 def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats:

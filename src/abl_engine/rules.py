@@ -13,16 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import (
-    NORM_TOL,
-    ZERO_PROB_TOL,
-    DensityOperator,
-    Observable,
-    Projector,
-    StateVector,
-    born_prob,
-    inner,
-)
+from .core import NORM_TOL, ZERO_PROB_TOL, Observable, StateVector
 from .errors import (
     DegeneratePostObservable,
     DimensionMismatch,
@@ -37,21 +28,19 @@ COND_TOL = 1e-9  # decomposition validity conditions
 WhichCondition = Literal["Q_equals_A", "Q_equals_B", "interference_term_zero", "none"]
 
 
-def _amp_through(pre: StateVector, p: Projector, post: StateVector) -> complex:
-    """<pre| P |post>."""
-    return complex(np.vdot(pre.amplitudes, p.matrix @ post.amplitudes))
-
-
 def _transition_weights(
-    pre: StateVector, observable: Observable, post: StateVector
+    pre: np.ndarray, observable: Observable | None, post: np.ndarray
 ) -> tuple[float, ...]:
-    """|<a|P_k|b>|^2 for each outcome, clamped to at most 1.
+    """|<a|P_k|b>|^2 for each outcome of the observable, or the one weight
+    |<a|b>|^2 when there is none, clamped to at most 1.
 
     This is the one rule for what is impossible: a weight at or below
     ZERO_PROB_TOL snaps to exactly 0, and a pre/post pair whose weights all
-    snap is unreachable.
+    snap is unreachable. The rules and the sampler's acceptance all read
+    these weights.
     """
-    weights = (min(abs(_amp_through(pre, p, post)) ** 2, 1.0) for p in observable.outcomes)
+    images = [post] if observable is None else [p.matrix @ post for p in observable.outcomes]
+    weights = (min(abs(complex(np.vdot(pre, v))) ** 2, 1.0) for v in images)
     return tuple(0.0 if value <= ZERO_PROB_TOL else value for value in weights)
 
 
@@ -75,7 +64,7 @@ class SelectionContext:
         dims = {self.pre.dim, self.post.dim, self.intervening.dim}
         if len(dims) != 1:
             raise DimensionMismatch(f"context dims differ: {sorted(dims)}")
-        weights = _transition_weights(self.pre, self.intervening, self.post)
+        weights = _transition_weights(self.pre.amplitudes, self.intervening, self.post.amplitudes)
         if sum(weights) <= ZERO_PROB_TOL:
             raise ImpossiblePostSelection(
                 "pre/post pair is unreachable with this observable interposed"
@@ -182,15 +171,13 @@ class ProductRuleReport:
 
 def sequential_prob(ctx: SelectionContext, outcome_label: str) -> float:
     """|<a| P |b>|^2: first the labeled outcome, then the post-selection."""
-    p = ctx.intervening.projector(outcome_label)
-    value = abs(_amp_through(ctx.pre, p, ctx.post)) ** 2
-    return min(max(value, 0.0), 1.0)
+    outcomes = ctx.intervening.outcomes
+    return ctx.transition_weights[outcomes.index(ctx.intervening.projector(outcome_label))]
 
 
 def marginal_with_Q(ctx: SelectionContext) -> float:
     """Probability of the post-selection given the observable is measured, any result."""
-    total = sum(sequential_prob(ctx, label) for label in ctx.intervening.labels)
-    return min(max(total, 0.0), 1.0)
+    return min(sum(ctx.transition_weights), 1.0)
 
 
 def abl(ctx: SelectionContext) -> ProbabilityDistribution:
@@ -237,13 +224,13 @@ def kastner(ctx: SelectionContext) -> WeightAssignment:
     numerator assumes one; the weights are exposed so that inconsistency
     is checkable rather than adjudicated.
     """
-    denominator = abs(inner(ctx.pre, ctx.post)) ** 2
-    if denominator <= ZERO_PROB_TOL:
+    (denominator,) = _transition_weights(ctx.pre.amplitudes, None, ctx.post.amplitudes)
+    if denominator == 0.0:
         raise OrthogonalPrePost("pre and post states are orthogonal; rule undefined")
     return WeightAssignment(
         tuple(
-            (label, sequential_prob(ctx, label) / denominator)
-            for label in ctx.intervening.labels
+            (label, value / denominator)
+            for label, value in zip(ctx.intervening.labels, ctx.transition_weights)
         )
     )
 
@@ -284,8 +271,8 @@ def decomposition_check(
     direct = [float(np.vdot(a, b @ a).real) for b in b_mats]
 
     rows = []
-    for j, p in enumerate(q.outcomes):
-        lhs = born_prob(DensityOperator.from_state(pre), p)
+    for j, (p, u) in enumerate(zip(q.outcomes, projected)):
+        lhs = min(float(np.vdot(u, u).real), 1.0)  # ||P_j a||^2 = p(q_j|a)
         rhs = sum(
             joint[j][i] / with_q[i] * direct[i] for i in range(len(b_mats))
         )
@@ -324,15 +311,15 @@ def interposition_inequality(
 ) -> tuple[float, float]:
     """(p_direct, p_with_Q): post-selection probability without and with the observable.
 
-    p_direct = |<a|b>|^2; p_with_Q = sum_j |<a|P_j|b>|^2. Both are
-    returned for comparison; p_with_Q is positive whenever p_direct is,
-    but neither dominates the other in general.
+    p_direct = |<a|b>|^2 and p_with_Q = sum_j |<a|P_j|b>|^2, from the snapped
+    transition weights. Both are returned for comparison; p_with_Q is
+    positive whenever p_direct is, but neither dominates the other in general.
     """
     if not pre.dim == q.dim == post.dim:
         raise DimensionMismatch("states and observable must share one dimension")
-    p_direct = min(max(abs(inner(pre, post)) ** 2, 0.0), 1.0)
-    total = sum(abs(_amp_through(pre, p, post)) ** 2 for p in q.outcomes)
-    return p_direct, min(max(total, 0.0), 1.0)
+    (p_direct,) = _transition_weights(pre.amplitudes, None, post.amplitudes)
+    p_with_q = sum(_transition_weights(pre.amplitudes, q, post.amplitudes))
+    return p_direct, min(p_with_q, 1.0)
 
 
 def product_rule_check(

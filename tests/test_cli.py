@@ -18,6 +18,7 @@ from abl_engine import (
     state_to_json,
     three_box,
 )
+from abl_engine import ensemble
 from abl_engine.cli import main
 
 
@@ -342,7 +343,10 @@ def _failing_argvs(command, files):
         yield ["scenario", "no-such-scenario"], "ValidationError"
         yield ["scenario", "three-box", "--variant", "no-such-variant"], "ValidationError"
         yield ["scenario", "three-box", "--mc", "--trials", "0"], "ValidationError"
+        yield ["scenario", "three-box", "--observable", "x.json"], "ValidationError"
         return
+    if command == "mc":
+        yield ["mc", "--trials", "abc"], "ValidationError"
     state_names, obs_names = FILE_COMMANDS[command]
     states = {name: files[name] for name in state_names}
     observables = [files[name] for name in obs_names]
@@ -372,6 +376,22 @@ def test_malformed_inputs_exit_2_with_a_typed_code(command, capsys, sweep_files)
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, ""), argv
         assert json.loads(err)["code"] == expected, argv
+
+
+def test_trial_count_is_checked_before_any_work(capsys, box_files, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(ensemble, "_map_chunks", no_work)
+    files = ["--pre", box_files["a"], "--post", box_files["b"], "--observable", box_files["q"]]
+    for trials in ("100000000000000000000", str(ensemble.MAX_TRIALS + 1)):
+        for argv in (
+            ["scenario", "three-box", "--mc", "--trials", trials],
+            ["mc", *files, "--trials", trials],
+        ):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert json.loads(err)["code"] == "ValidationError", argv
 
 
 def test_unreachable_pair_is_one_error_for_every_command(capsys, tmp_path):

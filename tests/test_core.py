@@ -173,6 +173,12 @@ def test_born_probabilities_complete(seed, dim):
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def test_born_prob_pure_clamps_within_norm_tolerance():
+    # a valid state of norm 1 + 0.9e-10 has |<psi|psi>|^2 = 1.00000000036
+    psi = StateVector(np.array([1.0 + 0.9e-10, 0.0], dtype=complex))
+    assert born_prob_pure(psi, psi) == 1.0
+
+
 def test_born_prob_dim_mismatch():
     w = DensityOperator.from_state(basis_state(2, 0))
     with pytest.raises(DimensionMismatch):

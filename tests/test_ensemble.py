@@ -474,6 +474,24 @@ def test_no_accepted_trials():
         estimate_abl(ctx, 100, 0)
 
 
+def test_trial_count_is_checked_before_any_work(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def no_work(*args):
+        raise Started
+
+    monkeypatch.setattr(ensemble, "_map_chunks", no_work)
+    ctx = three_box().context
+    for trials in (10**20, ensemble.MAX_TRIALS + 1):
+        with pytest.raises(ValidationError):
+            estimate_abl(ctx, trials, 0)
+        with pytest.raises(ValidationError):
+            estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, 0)
+    with pytest.raises(Started):
+        estimate_abl(ctx, ensemble.MAX_TRIALS, 0)
+
+
 def test_estimate_validation():
     ctx = three_box().context
     with pytest.raises(ValidationError):

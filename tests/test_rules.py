@@ -38,7 +38,7 @@ from abl_engine import (
     sequential_prob,
     trivial_observable,
 )
-from conftest import random_context, random_observable, random_state
+from conftest import random_context, random_observable, random_state, snapped_weight_context
 
 
 # hand-built three-box pieces, independent of the scenarios module
@@ -246,8 +246,14 @@ def test_abl_with_trivial_observable():
 
 def test_abl_exact_zero_for_impossible_outcomes():
     a, b, _, qa, _ = _boxes()
-    # the B∪C branch has vanishing transition amplitude: exactly zero, not 1e-35
-    assert abl(SelectionContext(a, b, qa))["B∪C"] == 0.0
+    # the B∪C branch has vanishing transition amplitude: exactly zero, not 1e-35;
+    # z0's weight 5e-13 is below the snap. Every rule reads the snapped weights.
+    for ctx, label in ((SelectionContext(a, b, qa), "B∪C"), (snapped_weight_context(), "z0")):
+        assert abl(ctx)[label] == 0.0
+        assert kastner(ctx)[label] == 0.0
+        assert sequential_prob(ctx, label) == 0.0
+        _, p_with_q = interposition_inequality(ctx.pre, ctx.intervening, ctx.post)
+        assert p_with_q == marginal_with_Q(ctx) == sum(ctx.transition_weights)
 
 
 def test_abl_eigenket_cases():
