@@ -305,10 +305,10 @@ def test_run_trial_reproduces_searchsorted_on_u(ctx):
 # branch k and passes the post-selection is a dyadic rational read off the
 # tables without a single draw.
 
-# |law_k - abl_k * sum(law)| in units of 2**-53: each of the two bounds that
-# fix law_k is off by less than one unit after its floor, plus the rounding
-# of the cumulative sum. Dividing by sum(law), the acceptance rate, scales
-# the same bound up for law_k / sum(law).
+# |law_k - abl_k * sum(law)| in units of 2**-53: the branch's two bounds and
+# its acceptance bound each lose less than one unit to their floors, plus the
+# rounding of the cumulative sum. Dividing by sum(law), the acceptance rate,
+# scales the same bound up for law_k / sum(law).
 LAW_ULPS = 4
 
 
@@ -316,16 +316,14 @@ def _exact_law(ctx):
     _, _, rising, acceptance = _branch_tables(
         ctx.pre.amplitudes, ctx.intervening, ctx.post.amplitudes
     )
-    bounds = [Fraction(b) for b in [*rising, *map(_accept_bound, acceptance)]]
-    assert all((b * 2**53).denominator == 1 for b in bounds)
+    rising = [Fraction(b) for b in rising]
+    accept_from = [Fraction(_accept_bound(t)) for t in acceptance]
+    assert all((b * 2**53).denominator == 1 for b in rising + accept_from)
     # the branch is the number of rising bounds above x, so branch j owns
     # [edges[k - 1 - j], edges[k - j]); acceptance needs x >= its bound
-    edges = [Fraction(0), *bounds[: len(rising)], Fraction(1)]
+    edges = [Fraction(0), *rising, Fraction(1)]
     k = len(acceptance)
-    return [
-        (edges[k - j] - edges[k - 1 - j]) * (1 - accept)
-        for j, accept in enumerate(bounds[len(rising):])
-    ]
+    return [(edges[k - j] - edges[k - 1 - j]) * (1 - a) for j, a in enumerate(accept_from)]
 
 
 def _assert_law_is_abl(ctx):
