@@ -21,14 +21,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
-from .core import (
-    Observable,
-    StateVector,
-    inner,
-    observable_from_json,
-    state_from_json,
-)
-from .ensemble import _check_trials, estimate_abl, stats_csv_rows, stats_to_json
+from .core import Observable, StateVector, observable_from_json, state_from_json
+from .ensemble import _check_trials, estimate_abl
 from .errors import EngineError, ParseError, ValidationError
 from .rules import (
     SelectionContext,
@@ -147,24 +141,36 @@ class _Inputs:
 
 def _two_time(inputs: _Inputs) -> dict:
     ctx = inputs.context()
+    analytic = abl(ctx).as_dict()
     if inputs.trials is None:
-        return {"abl": abl(ctx).as_dict(), "marginal_with_Q": marginal_with_Q(ctx)}
+        return {"abl": analytic, "marginal_with_Q": marginal_with_Q(ctx)}
     stats = estimate_abl(ctx, inputs.trials, inputs.seed)
-    analytic = abl(ctx)
-    results = stats_to_json(stats)
-    results["analytic"] = analytic.as_dict()
-    results["z_scores"] = {label: z for label, *_, z in stats_csv_rows(stats, analytic)}
-    return results
+    frequencies, std_errors = dict(stats.frequencies), dict(stats.std_errors)
+    return {
+        "trials": stats.trials,
+        "accepted": stats.accepted,
+        "acceptance_rate": stats.acceptance_rate,
+        "seed": stats.seed,
+        "frequencies": frequencies,
+        "std_errors": std_errors,
+        "analytic": analytic,
+        # z is 0 where the standard error vanishes
+        "z_scores": {
+            label: (freq - analytic[label]) / std_errors[label] if std_errors[label] > 0.0 else 0.0
+            for label, freq in frequencies.items()
+        },
+    }
 
 
 def _kastner(inputs: _Inputs) -> dict:
     ctx = inputs.context()
     weights = kastner(ctx)
+    direct, with_q = interposition_inequality(ctx.pre, ctx.intervening, ctx.post)
     return {
         "weights": weights.as_dict(),
         "total": weights.total(),
-        "direct_prob": abs(inner(ctx.pre, ctx.post)) ** 2,
-        "marginal_with_Q": marginal_with_Q(ctx),
+        "direct_prob": direct,
+        "marginal_with_Q": with_q,
     }
 
 
@@ -319,7 +325,12 @@ def run(config: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Raises a ValidationError (exit 2 with a {code, message} object) instead
-    of printing usage; subparsers are made with the same class."""
+    of printing usage; subparsers are made with the same class. An option
+    left out is left out of the namespace too, so RunConfig's fields hold
+    every default."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message: str):
         raise ValidationError(message)
@@ -351,33 +362,24 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--observable",
                 action="append",
                 dest="observables",
-                default=[],
                 metavar="PATH",
                 help=command.observable_help,
             )
         if command.sampled or command.builtin:
-            p.add_argument("--trials", type=int, default=100000)
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+            p.add_argument("--trials", type=int)
+            p.add_argument("--seed", type=int)
+        p.add_argument("--format", choices=("json", "csv"), dest="output_format")
+        p.add_argument(
+            "--out", metavar="PATH", dest="out_path", help="write the report here instead of stdout"
+        )
     return parser
 
 
 def _parse_args(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    return RunConfig(
-        command=args.command,
-        pre=getattr(args, "pre", None),
-        post=getattr(args, "post", None),
-        observables=tuple(getattr(args, "observables", ()) or ()),
-        scenario=getattr(args, "scenario", None),
-        variant=getattr(args, "variant", None),
-        mc=getattr(args, "mc", False),
-        trials=getattr(args, "trials", 100000),
-        seed=getattr(args, "seed", 0),
-        output_format=args.format,
-        out_path=args.out,
-    )
+    args = vars(_build_parser().parse_args(argv))
+    if "observables" in args:
+        args["observables"] = tuple(args["observables"])
+    return RunConfig(**args)
 
 
 def main(argv=None) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import ZERO_PROB_TOL, Observable, StateVector
 from .errors import DimensionMismatch, NoAcceptedTrials, ValidationError
-from .rules import ProbabilityDistribution, SelectionContext, _transition_weights
+from .rules import SelectionContext, _projections, _transition_weights
 
 DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four doubles
 CHUNK_TRIALS = 1 << 16  # fixed chunking keeps results thread-count independent
@@ -182,8 +182,7 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
     if observable is None:
         projected, probs = [psi], np.ones(1)
     else:
-        projected = [p.matrix @ psi for p in observable.outcomes]
-        probs = np.array([np.vdot(v, v).real for v in projected])
+        projected, probs = _projections(psi, observable)
     weights = np.array(_transition_weights(psi, observable, post))
     acceptance = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL)
     rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
@@ -376,31 +375,3 @@ def estimate_interposition_effect(
     without = _post_selected_counts(pre, None, post, trials, seed, 0)
     with_q = _post_selected_counts(pre, q, post, trials, seed, 1)
     return int(without.sum()) / trials, int(with_q.sum()) / trials
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def stats_to_json(stats: EnsembleStats) -> dict:
-    return {
-        "trials": stats.trials,
-        "accepted": stats.accepted,
-        "acceptance_rate": stats.acceptance_rate,
-        "seed": stats.seed,
-        "frequencies": dict(stats.frequencies),
-        "std_errors": dict(stats.std_errors),
-    }
-
-
-def stats_csv_rows(
-    stats: EnsembleStats, analytic: ProbabilityDistribution
-) -> list[tuple[str, float, float, float, float]]:
-    """Rows (label, frequency, std_error, analytic_abl, z_score); z is 0
-    when the standard error vanishes."""
-    rows = []
-    for (label, freq), (_, err) in zip(stats.frequencies, stats.std_errors):
-        expected = analytic[label]
-        z = (freq - expected) / err if err > 0.0 else 0.0
-        rows.append((label, freq, err, expected, z))
-    return rows

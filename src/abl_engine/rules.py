@@ -28,20 +28,32 @@ COND_TOL = 1e-9  # decomposition validity conditions
 WhichCondition = Literal["Q_equals_A", "Q_equals_B", "interference_term_zero", "none"]
 
 
-def _transition_weights(
-    pre: np.ndarray, observable: Observable | None, post: np.ndarray
-) -> tuple[float, ...]:
-    """|<a|P_k|b>|^2 for each outcome of the observable, or the one weight
-    |<a|b>|^2 when there is none, clamped to at most 1.
+def _snapped_weights(amplitudes) -> tuple[float, ...]:
+    """|amp|^2 for each transition amplitude, clamped to at most 1.
 
     This is the one rule for what is impossible: a weight at or below
     ZERO_PROB_TOL snaps to exactly 0, and a pre/post pair whose weights all
     snap is unreachable. The rules and the sampler's acceptance all read
-    these weights.
+    weights snapped here.
     """
-    images = [post] if observable is None else [p.matrix @ post for p in observable.outcomes]
-    weights = (min(abs(complex(np.vdot(pre, v))) ** 2, 1.0) for v in images)
+    weights = (min(abs(complex(amp)) ** 2, 1.0) for amp in amplitudes)
     return tuple(0.0 if value <= ZERO_PROB_TOL else value for value in weights)
+
+
+def _transition_weights(
+    pre: np.ndarray, observable: Observable | None, post: np.ndarray
+) -> tuple[float, ...]:
+    """Snapped |<a|P_k|b>|^2 for each outcome of the observable, or the one
+    weight |<a|b>|^2 when there is none."""
+    images = [post] if observable is None else [p.matrix @ post for p in observable.outcomes]
+    return _snapped_weights(np.vdot(pre, v) for v in images)
+
+
+def _projections(psi: np.ndarray, observable: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """The projected vectors P_j psi, one row per outcome, and their Born
+    weights ||P_j psi||^2."""
+    projected = np.array([p.matrix @ psi for p in observable.outcomes])
+    return projected, np.array([np.vdot(v, v).real for v in projected])
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +219,9 @@ def abl_trivial_reduction(pre: StateVector, q_basis: Observable) -> ProbabilityD
     """
     if pre.dim != q_basis.dim:
         raise DimensionMismatch(f"dims differ: {pre.dim} vs {q_basis.dim}")
-    numerators = []
-    for p in q_basis.outcomes:
-        projected = p.matrix @ pre.amplitudes
-        numerators.append((p.label, float(np.vdot(projected, projected).real)))
-    denominator = sum(value for _, value in numerators)
-    return ProbabilityDistribution(
-        tuple((label, value / denominator) for label, value in numerators)
-    )
+    _, numerators = _projections(pre.amplitudes, q_basis)
+    values = numerators / sum(numerators)
+    return ProbabilityDistribution(tuple(zip(q_basis.labels, map(float, values))))
 
 
 def kastner(ctx: SelectionContext) -> WeightAssignment:
@@ -254,56 +261,44 @@ def decomposition_check(
         )
 
     a = pre.amplitudes
-    projected = [p.matrix @ a for p in q.outcomes]  # u_j = P_j |a>
+    projected, born = _projections(a, q)  # rows u_j = P_j |a>, born_j = p(q_j|a)
     b_mats = [p.matrix for p in b_obs.outcomes]
+    # <b_i|, up to a phase that cancels in every product below: the conjugate
+    # of rank-1 B_i's column at its largest diagonal entry, normalized
+    columns = [int(np.argmax(b.diagonal().real)) for b in b_mats]
+    bras = np.array([b[:, c].conj() / np.sqrt(b[c, c].real) for b, c in zip(b_mats, columns)])
+    amp = bras @ projected.T  # amp[i, j] = <b_i|P_j|a>
 
-    # joint[j][i] = p(q_j, b_i | a) = <a| P_j B_i P_j |a>
-    joint = [
-        [float(np.vdot(u, b @ u).real) for b in b_mats]
-        for u in projected
-    ]
-    with_q = [sum(joint[j][i] for j in range(len(projected))) for i in range(len(b_mats))]
-    for i, value in enumerate(with_q):
+    joint = np.array([_snapped_weights(row) for row in amp])  # p(q_j, b_i | a)
+    with_q = joint.sum(axis=1)  # p(b_i | a, Q)
+    for label, value in zip(b_obs.labels, with_q):
         if value <= ZERO_PROB_TOL:
             raise DegeneratePostObservable(
-                f"outcome {b_obs.labels[i]!r} is unreachable when the observable is measured"
+                f"outcome {label!r} is unreachable when the observable is measured"
             )
-    direct = [float(np.vdot(a, b @ a).real) for b in b_mats]
+    direct = np.array(_snapped_weights(bras @ a))  # p(b_i | a)
 
-    rows = []
-    for j, (p, u) in enumerate(zip(q.outcomes, projected)):
-        lhs = min(float(np.vdot(u, u).real), 1.0)  # ||P_j a||^2 = p(q_j|a)
-        rhs = sum(
-            joint[j][i] / with_q[i] * direct[i] for i in range(len(b_mats))
-        )
-        rows.append(OutcomeDecomposition(p.label, lhs, rhs))
+    rhs = direct / with_q @ joint  # sum_i p(q_j, b_i|a) / p(b_i|a, Q) * p(b_i|a)
+    rows = tuple(
+        OutcomeDecomposition(label, min(float(lhs), 1.0), float(value))
+        for label, lhs, value in zip(q.labels, born, rhs)
+    )
 
-    which = _decomposition_condition(a, q, projected, b_mats)
-    return DecompositionReport(tuple(rows), which)
-
-
-def _decomposition_condition(
-    a: np.ndarray,
-    q: Observable,
-    projected: list[np.ndarray],
-    b_mats: list[np.ndarray],
-) -> WhichCondition:
     # structural cases first, so floating noise cannot misclassify them
     if any(np.linalg.norm(u - a) <= NORM_TOL for u in projected):
-        return "Q_equals_A"
-    if all(
+        which = "Q_equals_A"
+    elif all(
         any(np.abs(p.matrix @ b - b).max() <= NORM_TOL for p in q.outcomes)
         for b in b_mats
     ):
-        return "Q_equals_B"
-    for b in b_mats:
-        for j, u in enumerate(projected):
-            for k, v in enumerate(projected):
-                if j == k:
-                    continue
-                if abs(float(np.vdot(u, b @ v).real)) > COND_TOL:
-                    return "none"
-    return "interference_term_zero"
+        which = "Q_equals_B"
+    else:
+        # interference terms Re <P_j a|B_i|P_k a> = Re(conj(amp_ij) amp_ik), j != k
+        cross = (amp.conj()[:, :, None] * amp[:, None, :]).real
+        off_diagonal = ~np.eye(len(projected), dtype=bool)
+        interfering = (np.abs(cross[:, off_diagonal]) > COND_TOL).any()
+        which = "none" if interfering else "interference_term_zero"
+    return DecompositionReport(rows, which)
 
 
 def interposition_inequality(

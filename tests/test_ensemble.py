@@ -45,8 +45,6 @@ from abl_engine.ensemble import (
     _closed_cumulative,
     _raw_bound,
     _worker_count,
-    stats_csv_rows,
-    stats_to_json,
 )
 from conftest import (
     random_context,
@@ -592,16 +590,3 @@ def test_ensemble_stats_validation():
     stats = EnsembleStats(10, 5, (("a", 1.0),), (("a", 0.0),), 1)
     assert stats.acceptance_rate == 0.5
 
-
-def test_stats_serialization():
-    stats = estimate_abl(three_box().context, 5000, 2)
-    payload = stats_to_json(stats)
-    assert payload["trials"] == 5000 and payload["seed"] == 2
-    assert set(payload["frequencies"]) == {"A", "B", "C"}
-    rows = stats_csv_rows(stats, abl(three_box().context))
-    assert [r[0] for r in rows] == ["A", "B", "C"]
-    for _, freq, err, analytic, z in rows:
-        if err > 0:
-            assert z == pytest.approx((freq - analytic) / err)
-        else:
-            assert z == 0.0

@@ -452,6 +452,50 @@ def test_decomposition_rejects_unreachable_final_outcome():
         decomposition_check(a, Observable((pa, rest)), zbasis)
 
 
+def _ket_basis(*kets):
+    return Observable(
+        tuple(projector_from_span([StateVector(k)], f"b{i}") for i, k in enumerate(kets))
+    )
+
+
+def test_decomposition_reads_the_snapped_joint_weights():
+    # the d = 2 context whose (z0, b) transition weight 0.1 e^2 = 5e-13 snaps
+    ctx = snapped_weight_context()
+    a, b = ctx.pre.amplitudes, ctx.post.amplitudes
+    b_perp = np.array([b[1], -b[0]])
+    assert ctx.transition_weights[0] == 0.0
+    # plain numpy: joint[i, j] = |<b_i|z_j><z_j|a>|^2, with the one term the
+    # context snaps set to exactly 0
+    kets = np.array([b, b_perp])
+    joint = np.abs(kets.conj() * a) ** 2
+    assert joint[0, 0] == pytest.approx(5e-13, rel=1e-9)
+    joint[0, 0] = 0.0
+    direct = np.abs(kets.conj() @ a) ** 2
+    expected = (joint / joint.sum(axis=1, keepdims=True) * direct[:, None]).sum(axis=0)
+    report = decomposition_check(ctx.pre, ctx.intervening, _ket_basis(b, b_perp))
+    for row, rhs in zip(report.outcomes, expected):
+        assert row.rhs == pytest.approx(rhs, abs=1e-14)
+
+
+def test_decomposition_refuses_a_final_ket_whose_every_joint_weight_snaps():
+    # a = (s, t, 0) with the z basis as Q; b's two nonzero joint terms
+    # |b_j a_j|^2 are 0.8e-12 each, so each snaps, though their sum does not
+    s = t = math.sqrt(0.5)
+    e = math.sqrt(1.6e-12)
+    c = math.sqrt(1.0 - 2.0 * e * e)
+    a = StateVector(np.array([s, t, 0.0]))
+    zbasis = Observable(
+        tuple(projector_from_span([basis_state(3, i)], f"z{i}") for i in range(3))
+    )
+    b = np.array([e, e, c])
+    with pytest.raises(ImpossiblePostSelection):
+        SelectionContext(a, StateVector(b), zbasis)
+    b_perp = np.array([[1.0, -1.0, 0.0], [c, c, -2.0 * e]]) / math.sqrt(2.0)
+    basis = _ket_basis(b, *b_perp)
+    with pytest.raises(DegeneratePostObservable, match="'b0' is unreachable"):
+        decomposition_check(a, zbasis, basis)
+
+
 # interposition comparison
 
 
