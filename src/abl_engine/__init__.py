@@ -16,15 +16,12 @@ from .core import (
     NORM_TOL,
     RANK_TOL,
     ZERO_PROB_TOL,
-    DensityOperator,
     Observable,
     Projector,
     StateVector,
     basis_state,
-    born_prob,
     born_prob_pure,
     inner,
-    luders_update,
     observable_from_json,
     observable_to_json,
     projector_from_span,
@@ -45,7 +42,6 @@ from .errors import (
     DegenerateSpan,
     DimensionMismatch,
     EngineError,
-    ImpossibleOutcome,
     ImpossiblePostSelection,
     InvalidDirection,
     NoAcceptedTrials,

@@ -1,10 +1,10 @@
 """Finite-dimensional Hilbert-space primitives.
 
-States, density operators, projectors, and labeled projective observables,
-plus the trace rule and the ideal-measurement (Lueders) update. Values are
-immutable numpy-backed objects; constructors validate their invariants
-eagerly so downstream formulas never see a bad value. The Hamiltonian is
-identically zero between measurements, so no propagator exists here.
+Pure states, projectors, and labeled projective observables, plus the
+pure-state Born rule. Values are immutable numpy-backed objects;
+constructors validate their invariants eagerly so downstream formulas never
+see a bad value. The Hamiltonian is identically zero between measurements,
+so no propagator exists here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     DegenerateSpan,
     DimensionMismatch,
-    ImpossibleOutcome,
     ParseError,
     UnknownOutcomeLabel,
     ValidationError,
@@ -26,24 +25,13 @@ from .errors import (
 NORM_TOL = 1e-10      # invariant validation (norms, Hermiticity, idempotence)
 ZERO_PROB_TOL = 1e-12  # conditioning denominators treated as zero
 RANK_TOL = 1e-10      # linear independence of span vectors
-MAX_DIM = 64          # supported size envelope (PSD checked by eigenvalues)
+MAX_DIM = 64          # supported size envelope
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     out.flags.writeable = False
     return out
-
-
-def _square_matrix(matrix, what: str) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{what} must be a square matrix")
-    if not 1 <= arr.shape[0] <= MAX_DIM:
-        raise ValidationError(f"{what} dimension must be in 1..{MAX_DIM}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,33 +77,6 @@ def basis_state(dim: int, index: int) -> StateVector:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _square_matrix(self.matrix, "density operator")
-        if np.abs(arr - arr.conj().T).max() > NORM_TOL:
-            raise ValidationError("density operator must be Hermitian within tolerance")
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > NORM_TOL:
-            raise ValidationError(f"density operator trace {trace} differs from 1 beyond {NORM_TOL}")
-        if float(np.linalg.eigvalsh(arr).min()) < -NORM_TOL:
-            raise ValidationError("density operator must be positive semidefinite")
-        object.__setattr__(self, "matrix", _freeze(arr))
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[0])
-
-    @classmethod
-    def from_state(cls, state: StateVector) -> "DensityOperator":
-        amps = state.amplitudes
-        return cls(np.outer(amps, amps.conj()))
-
-
-@dataclass(frozen=True, eq=False)
 class Projector:
     """Hermitian idempotent operator with an outcome label."""
 
@@ -123,7 +84,13 @@ class Projector:
     label: str
 
     def __post_init__(self) -> None:
-        arr = _square_matrix(self.matrix, "projector")
+        arr = np.asarray(self.matrix, dtype=np.complex128)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValidationError("projector must be a square matrix")
+        if not 1 <= arr.shape[0] <= MAX_DIM:
+            raise ValidationError(f"projector dimension must be in 1..{MAX_DIM}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("projector entries must be finite")
         if np.abs(arr - arr.conj().T).max() > NORM_TOL:
             raise ValidationError("projector must be Hermitian within tolerance")
         if np.abs(arr @ arr - arr).max() > NORM_TOL:
@@ -221,37 +188,11 @@ def projector_from_span(vectors, label: str) -> Projector:
     return Projector(matrix, label)
 
 
-def _clamped_probability(value: float) -> float:
-    # unit-norm inputs are checked within NORM_TOL, so a valid state can give
-    # a value just outside [0, 1]
-    return min(max(value, 0.0), 1.0)
-
-
-def born_prob(w: DensityOperator, p: Projector) -> float:
-    """Trace rule Tr[W P], clamped to [0, 1]."""
-    if w.dim != p.dim:
-        raise DimensionMismatch(f"operator dims differ: {w.dim} vs {p.dim}")
-    return _clamped_probability(float(np.trace(w.matrix @ p.matrix).real))
-
-
 def born_prob_pure(psi: StateVector, q: StateVector) -> float:
     """|<psi|q>|^2 for unit vectors."""
-    amp = inner(psi, q)
-    return _clamped_probability(abs(amp) ** 2)
-
-
-def luders_update(w: DensityOperator, p: Projector) -> DensityOperator:
-    """Ideal-measurement update P W P / Tr[P W P] after observing p."""
-    probability = born_prob(w, p)
-    if probability <= ZERO_PROB_TOL:
-        raise ImpossibleOutcome(
-            f"outcome {p.label!r} has probability {probability} <= {ZERO_PROB_TOL}"
-        )
-    projected = p.matrix @ w.matrix @ p.matrix
-    trace = float(np.trace(projected).real)
-    matrix = projected / trace
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return DensityOperator(matrix)
+    # unit-norm inputs are checked within NORM_TOL, so a valid state can give
+    # a value just above 1
+    return min(abs(inner(psi, q)) ** 2, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -314,7 +314,8 @@ def _chunk_counts(
 
 def _map_chunks(fn, trials: int) -> np.ndarray:
     """Sum of fn(start, count) over the chunks. Worker w sums every workers-th
-    chunk from chunk w on, so nothing is held per chunk."""
+    chunk from chunk w on, so nothing is held per chunk. The calling thread is
+    worker 0, so its draw buffer serves every call."""
     starts = _chunk_ranges(trials)
     workers = _worker_count(len(starts))
 
@@ -323,8 +324,9 @@ def _map_chunks(fn, trials: int) -> np.ndarray:
 
     if workers <= 1:
         return share(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(share, range(workers)))
+    # map submits workers 1.. before share(0) runs here
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        return sum(pool.map(share, range(1, workers)), share(0))
 
 
 def _post_selected_counts(

@@ -32,10 +32,6 @@ class DegenerateSpan(EngineError):
     """Span vectors are linearly dependent beyond the rank tolerance."""
 
 
-class ImpossibleOutcome(EngineError):
-    """Conditioning on an outcome whose probability is numerically zero."""
-
-
 class UnknownOutcomeLabel(EngineError):
     """Label does not name an outcome of the observable."""
 

@@ -284,12 +284,15 @@ def decomposition_check(
         for label, lhs, value in zip(q.labels, born, rhs)
     )
 
-    # structural cases first, so floating noise cannot misclassify them
+    # structural cases first, so floating noise cannot misclassify them. The
+    # largest entry of (P_j - I) B_i = (P_j b_i - b_i) b_i^dagger is
+    # max|P_j b_i - b_i| max|b_i|, with |b_i> = conj(<b_i|)
+    stacked = np.array([p.matrix for p in q.outcomes])  # P_j, shape (k, d, d)
     if any(np.linalg.norm(u - a) <= NORM_TOL for u in projected):
         which = "Q_equals_A"
     elif all(
-        any(np.abs(p.matrix @ b - b).max() <= NORM_TOL for p in q.outcomes)
-        for b in b_mats
+        (np.abs(stacked @ b - b).max(axis=1) * np.abs(b).max() <= NORM_TOL).any()
+        for b in bras.conj()
     ):
         which = "Q_equals_B"
     else:

@@ -1,4 +1,4 @@
-"""Shared random constructors for property tests.
+"""Shared random constructors for property tests, and the Born-chain oracle.
 
 Everything is driven by an explicit numpy Generator so each test fixes its
 own seed; nothing here touches global RNG state.
@@ -15,6 +15,23 @@ from abl_engine import (
     basis_state,
     projector_from_span,
 )
+
+
+def born_chain(pre: np.ndarray, projectors) -> float:
+    """Probability that ideal measurements on the pure state `pre` give the
+    outcomes with these projector matrices, in order. Plain numpy on density
+    matrices, calling nothing from the engine: W = |pre><pre|, then for each
+    P the trace rule Tr[W P] and the Lueders update P W P / Tr[P W P]."""
+    w = np.outer(pre, np.conj(pre))
+    joint = 1.0
+    for p in projectors:
+        probability = float(np.trace(w @ p).real)
+        if probability <= 0.0:
+            return 0.0
+        joint *= probability
+        projected = p @ w @ p
+        w = projected / np.trace(projected).real
+    return joint
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

@@ -13,10 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_context, random_observable, random_state
+from conftest import born_chain, random_context, random_observable, random_state
 
 from abl_engine import (
-    DensityOperator,
     Observable,
     Projector,
     SelectionContext,
@@ -24,7 +23,6 @@ from abl_engine import (
     abl,
     abl_trivial_reduction,
     basis_state,
-    born_prob,
     decomposition_check,
     decomposition_counterexample,
     estimate_abl,
@@ -102,9 +100,8 @@ def test_trivial_interposition_reduces_to_born_rule():
         state = random_state(rng, dim)
         observable = random_observable(rng, dim)
         reduced = abl_trivial_reduction(state, observable)
-        density = DensityOperator.from_state(state)
         for label in reduced.labels:
-            direct = born_prob(density, observable.projector(label))
+            direct = born_chain(state.amplitudes, [observable.projector(label).matrix])
             assert abs(reduced[label] - direct) <= 1e-9
 
 

@@ -1,4 +1,4 @@
-"""Core primitives: construction invariants, trace rule, collapse, JSON."""
+"""Core primitives: construction invariants, the Born rule, JSON."""
 
 import math
 
@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from abl_engine import (
     DegenerateSpan,
-    DensityOperator,
     DimensionMismatch,
-    ImpossibleOutcome,
     MAX_DIM,
     Observable,
     ParseError,
@@ -20,10 +18,8 @@ from abl_engine import (
     UnknownOutcomeLabel,
     ValidationError,
     basis_state,
-    born_prob,
     born_prob_pure,
     inner,
-    luders_update,
     observable_from_json,
     observable_to_json,
     projector_from_span,
@@ -31,7 +27,7 @@ from abl_engine import (
     state_to_json,
     trivial_observable,
 )
-from conftest import random_observable, random_state
+from conftest import born_chain, random_observable, random_state
 
 
 def test_state_vector_accepts_unit_vectors():
@@ -68,18 +64,6 @@ def test_basis_state_bounds():
     assert basis_state(3, 2).amplitudes[2] == 1.0
     with pytest.raises(ValidationError):
         basis_state(3, 3)
-
-
-def test_density_operator_invariants():
-    w = DensityOperator.from_state(basis_state(2, 0))
-    assert w.dim == 2
-    assert abs(np.trace(w.matrix) - 1.0) < 1e-12
-    with pytest.raises(ValidationError):
-        DensityOperator(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))  # not Hermitian
-    with pytest.raises(ValidationError):
-        DensityOperator(np.diag([0.7, 0.7]).astype(complex))  # trace 1.4
-    with pytest.raises(ValidationError):
-        DensityOperator(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
 
 
 def test_projector_invariants():
@@ -158,18 +142,17 @@ def test_born_rule_pure_and_trace_agree(seed, dim):
     rng = np.random.default_rng(seed)
     psi = random_state(rng, dim)
     q = random_state(rng, dim)
-    w = DensityOperator.from_state(psi)
-    p = projector_from_span([q], "q")
-    assert born_prob(w, p) == pytest.approx(born_prob_pure(psi, q), abs=1e-12)
+    p = np.outer(q.amplitudes, q.amplitudes.conj())
+    assert born_chain(psi.amplitudes, [p]) == pytest.approx(born_prob_pure(psi, q), abs=1e-12)
 
 
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_born_probabilities_complete(seed, dim):
     rng = np.random.default_rng(seed)
-    w = DensityOperator.from_state(random_state(rng, dim))
+    psi = random_state(rng, dim)
     obs = random_observable(rng, dim)
-    total = sum(born_prob(w, p) for p in obs.outcomes)
+    total = sum(born_chain(psi.amplitudes, [p.matrix]) for p in obs.outcomes)
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -177,40 +160,6 @@ def test_born_prob_pure_clamps_within_norm_tolerance():
     # a valid state of norm 1 + 0.9e-10 has |<psi|psi>|^2 = 1.00000000036
     psi = StateVector(np.array([1.0 + 0.9e-10, 0.0], dtype=complex))
     assert born_prob_pure(psi, psi) == 1.0
-
-
-def test_born_prob_dim_mismatch():
-    w = DensityOperator.from_state(basis_state(2, 0))
-    with pytest.raises(DimensionMismatch):
-        born_prob(w, Projector(np.eye(3, dtype=complex), "all"))
-
-
-def test_luders_collapse_onto_rank_one():
-    plus = StateVector.normalized([1.0, 1.0])
-    w = DensityOperator.from_state(plus)
-    p_up = Projector(np.diag([1.0, 0.0]).astype(complex), "up")
-    collapsed = luders_update(w, p_up)
-    expected = DensityOperator.from_state(basis_state(2, 0))
-    assert np.abs(collapsed.matrix - expected.matrix).max() < 1e-12
-
-
-def test_luders_degenerate_collapse_keeps_subspace_amplitudes():
-    psi = StateVector.normalized([1.0, 1.0, 1.0])
-    w = DensityOperator.from_state(psi)
-    coarse = Projector(np.diag([0.0, 1.0, 1.0]).astype(complex), "BC")
-    collapsed = luders_update(w, coarse)
-    expected = DensityOperator.from_state(StateVector.normalized([0.0, 1.0, 1.0]))
-    assert np.abs(collapsed.matrix - expected.matrix).max() < 1e-12
-
-
-def test_luders_idempotent_and_impossible():
-    w = DensityOperator.from_state(basis_state(2, 0))
-    p_up = Projector(np.diag([1.0, 0.0]).astype(complex), "up")
-    again = luders_update(luders_update(w, p_up), p_up)
-    assert np.abs(again.matrix - w.matrix).max() < 1e-12
-    p_down = Projector(np.diag([0.0, 1.0]).astype(complex), "down")
-    with pytest.raises(ImpossibleOutcome):
-        luders_update(w, p_down)
 
 
 def test_state_json_round_trip_is_exact():
@@ -272,12 +221,12 @@ def test_observable_from_json_rejects_malformed(payload):
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 63
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 59
     assert set(abl_engine.__all__) == {
         "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL", "COND_TOL",
-        "StateVector", "DensityOperator", "Projector", "Observable", "basis_state",
-        "trivial_observable", "inner", "projector_from_span", "born_prob", "born_prob_pure",
-        "luders_update", "state_to_json", "state_from_json", "observable_to_json",
+        "StateVector", "Projector", "Observable", "basis_state",
+        "trivial_observable", "inner", "projector_from_span", "born_prob_pure",
+        "state_to_json", "state_from_json", "observable_to_json",
         "observable_from_json", "SelectionContext", "ProbabilityDistribution",
         "WeightAssignment", "OutcomeDecomposition", "DecompositionReport", "ProductRuleReport",
         "sequential_prob", "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",
@@ -286,7 +235,7 @@ def test_public_names_are_pinned():
         "estimate_interposition_effect", "ScenarioBundle", "ExpectedValue", "three_box",
         "three_hole", "spin_half", "product_rule_scenario", "SCENARIOS", "DecompositionCase",
         "decomposition_counterexample", "EngineError", "ValidationError", "ParseError",
-        "DimensionMismatch", "DegenerateSpan", "ImpossibleOutcome", "UnknownOutcomeLabel",
+        "DimensionMismatch", "DegenerateSpan", "UnknownOutcomeLabel",
         "ImpossiblePostSelection", "OrthogonalPrePost", "DegeneratePostObservable",
         "NonCommutingObservables", "InvalidDirection", "NoAcceptedTrials",
     }

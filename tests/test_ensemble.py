@@ -379,6 +379,23 @@ def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
     assert peak < 2**20
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
+def test_two_worker_estimate_reuses_the_calling_threads_buffer(monkeypatch):
+    # the calling thread sums worker 0's chunks with the draw buffer the
+    # warm-up left it, so only worker 1 makes a 512 KiB buffer; when the pool
+    # ran both workers, each made one and the peak was 1.76 MiB
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "2")
+    ctx = three_box().context
+    estimate_abl(ctx, 2**20, 6)
+    tracemalloc.start()
+    try:
+        estimate_abl(ctx, 2**20, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
+
+
 def test_estimate_is_reproducible():
     ctx = three_box().context
     first = estimate_abl(ctx, 30000, 99)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from abl_engine import (
     DegeneratePostObservable,
-    DensityOperator,
     DimensionMismatch,
     ImpossiblePostSelection,
     NonCommutingObservables,
@@ -26,19 +25,23 @@ from abl_engine import (
     abl,
     abl_trivial_reduction,
     basis_state,
-    born_prob,
     decomposition_check,
     inner,
     interposition_inequality,
     kastner,
-    luders_update,
     marginal_with_Q,
     product_rule_check,
     projector_from_span,
     sequential_prob,
     trivial_observable,
 )
-from conftest import random_context, random_observable, random_state, snapped_weight_context
+from conftest import (
+    born_chain,
+    random_context,
+    random_observable,
+    random_state,
+    snapped_weight_context,
+)
 
 
 # hand-built three-box pieces, independent of the scenarios module
@@ -226,14 +229,29 @@ def test_sequential_sums_to_marginal(seed, dim):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
 def test_sequential_equals_born_chain(seed, dim):
     ctx = random_context(np.random.default_rng(seed), dim)
-    w = DensityOperator.from_state(ctx.pre)
-    post_proj = projector_from_span([ctx.post], "b")
+    a, b = ctx.pre.amplitudes, ctx.post.amplitudes
+    post_proj = np.outer(b, b.conj())
     for p in ctx.intervening.outcomes:
-        first = born_prob(w, p)
-        if first <= 1e-12:
-            continue
-        chained = first * born_prob(luders_update(w, p), post_proj)
+        chained = born_chain(a, [p.matrix, post_proj])
         assert sequential_prob(ctx, p.label) == pytest.approx(chained, abs=1e-10)
+
+
+def test_sequential_equals_born_chain_through_a_degenerate_projector():
+    # the rank-2 outcome B∪C keeps the relative amplitudes inside its
+    # subspace: the collapsed state is (0, 1, 1)/sqrt 2, not a mixture of
+    # |B> and |C>, so B∪C and then the post-selection (1, 1, -1)/sqrt 3
+    # never both occur
+    a = StateVector.normalized([1.0, 1.0, 1.0])
+    coarse = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    obs = Observable((projector_from_span([basis_state(3, 0)], "A"), Projector(coarse, "B∪C")))
+    for post, expected in (([0.0, 1.0, 1.0], 2.0 / 3.0), ([1.0, 1.0, -1.0], 0.0)):
+        b = StateVector.normalized(post)
+        post_proj = np.outer(b.amplitudes, b.amplitudes.conj())
+        chained = born_chain(a.amplitudes, [coarse, post_proj])
+        assert chained == pytest.approx(expected, abs=1e-12)
+        assert sequential_prob(SelectionContext(a, b, obs), "B∪C") == pytest.approx(
+            chained, abs=1e-12
+        )
 
 
 def test_abl_with_trivial_observable():
@@ -275,9 +293,8 @@ def test_trivial_reduction_matches_born(seed, dim):
     pre = random_state(rng, dim)
     obs = random_observable(rng, dim)
     dist = abl_trivial_reduction(pre, obs)
-    w = DensityOperator.from_state(pre)
     for p in obs.outcomes:
-        assert dist[p.label] == pytest.approx(born_prob(w, p), abs=1e-9)
+        assert dist[p.label] == pytest.approx(born_chain(pre.amplitudes, [p.matrix]), abs=1e-9)
 
 
 def test_trivial_reduction_three_box():
@@ -383,19 +400,28 @@ def test_decomposition_q_equals_a():
 
 
 def test_decomposition_q_equals_b():
-    a = StateVector.normalized([1.0, 1.0j])
-    report = decomposition_check(
-        a,
-        _sigma_z(),
-        Observable(
-            (
-                projector_from_span([basis_state(2, 0)], "b0"),
-                projector_from_span([basis_state(2, 1)], "b1"),
-            )
-        ),
+    z_basis = Observable(
+        (
+            projector_from_span([basis_state(2, 0)], "b0"),
+            projector_from_span([basis_state(2, 1)], "b1"),
+        )
     )
-    assert report.which_condition == "Q_equals_B"
-    assert report.max_residual < 1e-9
+    cases = [(StateVector.normalized([1.0, 1.0j]), _sigma_z(), z_basis)]
+    # d = 64, Q groups the kets of a Haar basis: every ket is tried against
+    # the outcomes until one contains it
+    rng = np.random.default_rng(53)
+    unitary, _ = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    kets = [StateVector(unitary[:, i]) for i in range(64)]
+    groups = np.array_split(rng.permutation(64), 47)
+    q = Observable(
+        tuple(projector_from_span([kets[i] for i in g], f"q{j}") for j, g in enumerate(groups))
+    )
+    basis = Observable(tuple(projector_from_span([v], f"b{i}") for i, v in enumerate(kets)))
+    cases.append((random_state(rng, 64), q, basis))
+    for case in cases:
+        report = decomposition_check(*case)
+        assert report.which_condition == "Q_equals_B"
+        assert report.max_residual < 1e-9
 
 
 def test_decomposition_interference_terms_vanish():
