@@ -1,4 +1,4 @@
-"""Core primitives: construction invariants, the Born rule, JSON."""
+"""Core primitives: construction invariants, the Born rule, collapse, JSON."""
 
 import math
 
@@ -10,19 +10,23 @@ from hypothesis import strategies as st
 from abl_engine import (
     DegenerateSpan,
     DimensionMismatch,
+    ImpossiblePostSelection,
     MAX_DIM,
     Observable,
     ParseError,
     Projector,
+    SelectionContext,
     StateVector,
     UnknownOutcomeLabel,
     ValidationError,
+    abl,
     basis_state,
     born_prob_pure,
     inner,
     observable_from_json,
     observable_to_json,
     projector_from_span,
+    sequential_prob,
     state_from_json,
     state_to_json,
     trivial_observable,
@@ -160,6 +164,70 @@ def test_born_prob_pure_clamps_within_norm_tolerance():
     # a valid state of norm 1 + 0.9e-10 has |<psi|psi>|^2 = 1.00000000036
     psi = StateVector(np.array([1.0 + 0.9e-10, 0.0], dtype=complex))
     assert born_prob_pure(psi, psi) == 1.0
+
+
+def test_born_prob_dim_mismatch():
+    with pytest.raises(DimensionMismatch):
+        born_prob_pure(basis_state(2, 0), basis_state(3, 0))
+
+
+# The engine applies the Lueders collapse on state vectors: sequential_prob
+# is the Born probability of an outcome times that of the post-selection in
+# the collapsed state P psi / ||P psi||.
+
+
+def test_luders_collapse_onto_rank_one():
+    plus = StateVector.normalized([1.0, 1.0])
+    z = Observable(
+        (
+            Projector(np.diag([1.0, 0.0]).astype(complex), "up"),
+            Projector(np.diag([0.0, 1.0]).astype(complex), "down"),
+        )
+    )
+    # after "up" the state is |up>, so the post-selection |b> follows with
+    # probability |<up|b>|^2 whatever the relative phase of |+> was
+    for post in ([1.0, 0.0], [1.0, 1.0], [1.0, 1.0j], [2.0, -1.0]):
+        b = StateVector.normalized(post)
+        expected = 0.5 * born_prob_pure(basis_state(2, 0), b)
+        assert sequential_prob(SelectionContext(plus, b, z), "up") == pytest.approx(
+            expected, abs=1e-12
+        )
+
+
+def test_luders_degenerate_collapse_keeps_subspace_amplitudes():
+    # the rank-2 outcome B∪C keeps the relative amplitudes inside its
+    # subspace: the collapsed state is (0, 1, 1)/sqrt 2, not a mixture of
+    # |B> and |C>, so B∪C and then the post-selection (1, 1, -1)/sqrt 3
+    # never both occur
+    a = StateVector.normalized([1.0, 1.0, 1.0])
+    coarse = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    obs = Observable((projector_from_span([basis_state(3, 0)], "A"), Projector(coarse, "B∪C")))
+    for post, expected in (([0.0, 1.0, 1.0], 2.0 / 3.0), ([1.0, 1.0, -1.0], 0.0)):
+        b = StateVector.normalized(post)
+        post_proj = np.outer(b.amplitudes, b.amplitudes.conj())
+        chained = born_chain(a.amplitudes, [coarse, post_proj])
+        assert chained == pytest.approx(expected, abs=1e-12)
+        assert sequential_prob(SelectionContext(a, b, obs), "B∪C") == pytest.approx(
+            chained, abs=1e-12
+        )
+
+
+def test_luders_idempotent_and_impossible():
+    up, down = basis_state(2, 0), basis_state(2, 1)
+    z = Observable(
+        (
+            Projector(np.diag([1.0, 0.0]).astype(complex), "up"),
+            Projector(np.diag([0.0, 1.0]).astype(complex), "down"),
+        )
+    )
+    # repeating the measurement reproduces its outcome with certainty
+    ctx = SelectionContext(up, up, z)
+    assert sequential_prob(ctx, "up") == 1.0
+    # an outcome of Born probability zero is never followed by anything
+    assert sequential_prob(ctx, "down") == 0.0
+    assert abl(ctx)["down"] == 0.0
+    with pytest.raises(ImpossiblePostSelection):
+        SelectionContext(up, down, z)
 
 
 def test_state_json_round_trip_is_exact():

@@ -236,24 +236,6 @@ def test_sequential_equals_born_chain(seed, dim):
         assert sequential_prob(ctx, p.label) == pytest.approx(chained, abs=1e-10)
 
 
-def test_sequential_equals_born_chain_through_a_degenerate_projector():
-    # the rank-2 outcome B∪C keeps the relative amplitudes inside its
-    # subspace: the collapsed state is (0, 1, 1)/sqrt 2, not a mixture of
-    # |B> and |C>, so B∪C and then the post-selection (1, 1, -1)/sqrt 3
-    # never both occur
-    a = StateVector.normalized([1.0, 1.0, 1.0])
-    coarse = np.diag([0.0, 1.0, 1.0]).astype(complex)
-    obs = Observable((projector_from_span([basis_state(3, 0)], "A"), Projector(coarse, "B∪C")))
-    for post, expected in (([0.0, 1.0, 1.0], 2.0 / 3.0), ([1.0, 1.0, -1.0], 0.0)):
-        b = StateVector.normalized(post)
-        post_proj = np.outer(b.amplitudes, b.amplitudes.conj())
-        chained = born_chain(a.amplitudes, [coarse, post_proj])
-        assert chained == pytest.approx(expected, abs=1e-12)
-        assert sequential_prob(SelectionContext(a, b, obs), "B∪C") == pytest.approx(
-            chained, abs=1e-12
-        )
-
-
 def test_abl_with_trivial_observable():
     rng = np.random.default_rng(31)
     pre, post = random_state(rng, 4), random_state(rng, 4)
