@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import __version__
 from .core import Observable, StateVector, observable_from_json, state_from_json
-from .ensemble import _check_trials, estimate_abl
+from .ensemble import MAX_TRIALS, _checked_int, estimate_abl
 from .errors import EngineError, ParseError, ValidationError
 from .rules import (
     SelectionContext,
@@ -283,7 +283,7 @@ def _load(command: _Command, config: RunConfig) -> tuple[_Inputs, dict]:
             )
     sampled = command.sampled or (command.builtin and config.mc)
     if sampled:
-        _check_trials(config.trials)
+        _checked_int("trials", config.trials, 1, MAX_TRIALS)
     if not command.builtin:
         pre, post, observables, meta = _file_inputs(command, config)
     trials, seed = (config.trials, config.seed) if sampled else (None, None)

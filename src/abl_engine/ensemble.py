@@ -31,7 +31,6 @@ from .errors import DimensionMismatch, NoAcceptedTrials, ValidationError
 from .rules import SelectionContext, _projections, _transition_weights
 
 DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four doubles
-CHUNK_TRIALS = 1 << 16  # fixed chunking keeps results thread-count independent
 # 2**40 trials take most of a day at about 1.6e7 trials/s on one core of a
 # 2-core x86-64 host; a larger count is refused before any work starts.
 MAX_TRIALS = 1 << 40
@@ -48,30 +47,27 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Post-selected relative frequencies with binomial standard errors."""
+    """Post-selected trials counted per outcome label, with the relative
+    frequencies and binomial standard errors they give."""
 
     trials: int
-    accepted: int
-    frequencies: tuple[tuple[str, float], ...]
-    std_errors: tuple[tuple[str, float], ...]
+    counts: tuple[tuple[str, int], ...]
     seed: int
 
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValidationError("trials must be at least 1")
-        if not 0 <= self.accepted <= self.trials:
-            raise ValidationError("accepted count must lie in [0, trials]")
-        freq_labels = tuple(label for label, _ in self.frequencies)
-        err_labels = tuple(label for label, _ in self.std_errors)
-        if freq_labels != err_labels:
-            raise ValidationError("frequency and std_error labels must match")
-        if self.accepted > 0:
-            total = sum(value for _, value in self.frequencies)
-            if abs(total - 1.0) > 1e-9:
-                raise ValidationError(f"frequencies sum to {total}, not 1")
-        for label, value in self.std_errors:
-            if value < 0.0:
-                raise ValidationError(f"std_error for {label!r} is negative")
+    @property
+    def accepted(self) -> int:
+        return sum(count for _, count in self.counts)
+
+    @property
+    def frequencies(self) -> tuple[tuple[str, float], ...]:
+        labels, counts = zip(*self.counts)
+        return tuple(zip(labels, map(float, np.array(counts) / self.accepted)))
+
+    @property
+    def std_errors(self) -> tuple[tuple[str, float], ...]:
+        labels, freqs = zip(*self.frequencies)
+        freqs = np.array(freqs)
+        return tuple(zip(labels, map(float, np.sqrt(freqs * (1.0 - freqs) / self.accepted))))
 
     @property
     def acceptance_rate(self) -> float:
@@ -88,17 +84,13 @@ class EnsembleStats:
 # deterministic per-trial streams
 
 
-def _check_trials(trials: int) -> None:
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValidationError(f"trials must be in 1..2**40, got {trials}")
-
-
-def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError("seed must be an integer")
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError("seed must fit in an unsigned 64-bit integer")
-    return int(seed)
+def _checked_int(name: str, value, low: int, high: int) -> int:
+    """value as a Python int, if it is an integer (not a bool) in [low, high]."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")
+    return int(value)
 
 
 def _blocks_per_trial(n_observables: int) -> int:
@@ -122,9 +114,12 @@ def trial_stream(
     Trial i owns blocks [i*B, (i+1)*B) with B = ceil((n_observables+1)/4),
     so batched draws over many trials reproduce per-trial draws exactly.
     """
-    seed = _validate_seed(seed)
-    if trial_index < 0:
-        raise ValidationError("trial_index must be nonnegative")
+    seed = _checked_int("seed", seed, 0, 2**64 - 1)
+    stream = _checked_int("stream", stream, 0, 2**64 - 1)
+    # below 2**40 each, a trial's first block stays far below the 2**256
+    # blocks of the Philox counter, which would wrap onto trial 0's
+    trial_index = _checked_int("trial_index", trial_index, 0, MAX_TRIALS - 1)
+    n_observables = _checked_int("n_observables", n_observables, 0, MAX_TRIALS - 1)
     return _philox(seed, stream, trial_index * _blocks_per_trial(n_observables))
 
 
@@ -165,18 +160,15 @@ def _raw_bound(values) -> np.ndarray:
     return 1.0 - np.floor(np.asarray(values, dtype=float) * scale) / scale
 
 
-def _accept_bound(probability: float) -> float:
-    """Raw-draw bound of a post-selection that passes with this probability:
-    the first entry of the closed cumulative of the binary filter {b, not-b}."""
-    return float(_raw_bound(_closed_cumulative([probability, 1.0 - probability])[0]))
-
-
 def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndarray):
     """One ideal measurement of the pure state psi before the post-selection
     on |post>: the projected vectors P_k psi, their probabilities
     p_k = ||P_k psi||^2, the raw-draw bounds that _branch_index takes, and
-    each branch's acceptance, its snapped transition weight over p_k (0 if
-    never drawn). With no observable, psi is the one branch, taken with p = 1."""
+    each branch's acceptance bound. A branch passes the post-selection with
+    t_k, its snapped transition weight over p_k (0 if never drawn); the
+    bound is the raw-draw bound of the first entry of the closed cumulative
+    of the binary filter {t_k, 1 - t_k}. With no observable, psi is the one
+    branch, taken with p = 1."""
     if len(post) != len(psi) or (observable is not None and observable.dim != len(psi)):
         raise DimensionMismatch("pre, post, and observables must share one dimension")
     if observable is None:
@@ -184,9 +176,12 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
     else:
         projected, probs = _projections(psi, observable)
     weights = np.array(_transition_weights(psi, observable, post))
-    acceptance = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL)
+    t = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL)
+    passes = np.where(t <= ZERO_PROB_TOL, 0.0, t)
+    fails = np.where(1.0 - t <= ZERO_PROB_TOL, 0.0, 1.0 - t)
+    accept_from = _raw_bound(np.where(fails == 0.0, 1.0, passes / (passes + fails)))
     rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
-    return projected, probs, rising, acceptance
+    return projected, probs, rising, accept_from
 
 
 def _branch_index(x, rising: np.ndarray):
@@ -212,31 +207,33 @@ def run_trial(
     filter. Takes one draw per observable and one for the filter."""
     psi, k, labels = pre.amplitudes, 0, []
     for obs in observables or [None]:
-        projected, probs, rising, acceptance = _branch_tables(psi, obs, post.amplitudes)
+        projected, probs, rising, accept_from = _branch_tables(psi, obs, post.amplitudes)
         if obs is not None:
             k = int(_branch_index(rng_stream.random(), rising))
             labels.append(obs.outcomes[k].label)
             # normalized, so the next step snaps conditional probabilities
             psi = projected[k] / np.sqrt(probs[k])
-    accepted = rng_stream.random() >= _accept_bound(acceptance[k])
+    accepted = rng_stream.random() >= accept_from[k]
     return TrialOutcome(tuple(labels), bool(accepted))
 
 
 # ---------------------------------------------------------------------------
 # vectorized estimators
 
-# Both estimators count with _chunk_counts on the tables of one
+# Both estimators count with _range_counts on the tables of one
 # _branch_tables call, with one observable or none. Trial i takes its branch
 # from column 0 of its draws and its post-selection from column n, the
 # number of observables: the draws run_trial takes from trial_stream.
 #
-# Each chunk regenerates its trials' draws from one Philox positioned at the
-# chunk's first block, in sub-batches written into one buffer per worker
-# thread: trial i's draws are the first columns of row i after reshaping
-# the flat double stream by blocks-per-trial. A sub-batch continues the
-# stream where the previous one stopped, so sub-batching never changes which
-# draw a trial gets, and a sampler call allocates nothing in proportion to
-# its trial count.
+# Worker w counts one contiguous range of trials. It regenerates the range's
+# draws from one Philox positioned at the range's first block, in sub-batches
+# written into one buffer per worker thread: trial i's draws are the first
+# columns of row i after reshaping the flat double stream by
+# blocks-per-trial. A sub-batch continues the stream where the previous one
+# stopped. Each trial's draws thus depend only on its index, and the counts
+# are integer sums of per-trial decisions, so no split into workers or
+# sub-batches changes them; and a sampler call allocates nothing in
+# proportion to its trial count.
 
 # Both constants were measured at 2^22 trials on a 2-core x86-64 host with
 # numpy 2.4. A 512 KiB buffer of draws per worker stays in a core's L2 cache.
@@ -247,6 +244,11 @@ SUB_BATCH_TRIALS = 1 << 14
 # Above this many branch bounds, one binary search per draw beats one
 # comparison per bound; the two cost the same between 9 and 12 bounds.
 MAX_COMPARED_BOUNDS = 8
+# One worker per this many trials, rounded up, because a pool thread costs
+# about half a millisecond to start: on 2 threads, 2^14 + 1 trials took
+# 1.5-1.8 ms on two workers and 0.9-1.3 ms on one, and the two broke even
+# near 2^15 trials.
+TRIALS_PER_WORKER = 1 << 16
 
 _worker_buffers = threading.local()
 
@@ -267,20 +269,16 @@ def _thread_count() -> int:
     return value
 
 
-def _worker_count(chunks: int) -> int:
+def _worker_count(trials: int) -> int:
     # more threads than cores only adds contention, and a large
     # ABL_ENGINE_THREADS must never start thousands of OS threads
-    return min(_thread_count(), chunks, os.cpu_count() or 1)
+    return min(_thread_count(), os.cpu_count() or 1, -(-trials // TRIALS_PER_WORKER))
 
 
-def _chunk_ranges(trials: int) -> range:
-    """Chunk starts, lazily: chunk s holds trials [s, min(s + CHUNK_TRIALS, trials))."""
-    return range(0, trials, CHUNK_TRIALS)
-
-
-def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
-    """Yield the chunk's draws as (n, blocks * 4) sub-batches. Each one is a
-    view of this thread's reused buffer, overwritten by the next."""
+def _range_draws(seed: int, stream: int, start: int, count: int, blocks: int):
+    """Yield the draws of trials [start, start + count) as (n, blocks * 4)
+    sub-batches. Each one is a view of this thread's reused buffer,
+    overwritten by the next."""
     width = blocks * DRAWS_PER_BLOCK
     buffer = getattr(_worker_buffers, "draws", None)
     if buffer is None or buffer.size < SUB_BATCH_TRIALS * width:
@@ -293,7 +291,7 @@ def _chunk_draws(seed: int, stream: int, start: int, count: int, blocks: int):
         yield flat.reshape(n, width)
 
 
-def _chunk_counts(
+def _range_counts(
     seed: int,
     stream: int,
     n_observables: int,
@@ -302,78 +300,66 @@ def _chunk_counts(
     start: int,
     count: int,
 ) -> np.ndarray:
-    """Post-selected trials of one chunk, counted per branch."""
+    """Post-selected trials among [start, start + count), counted per branch."""
     k = len(accept_from)
     counts = np.zeros(2 * k, dtype=np.int64)
-    for draws in _chunk_draws(seed, stream, start, count, _blocks_per_trial(n_observables)):
+    for draws in _range_draws(seed, stream, start, count, _blocks_per_trial(n_observables)):
         picked = _branch_index(draws[:, 0], rising)
         accepted = draws[:, n_observables] >= accept_from[picked]
         counts += np.bincount(picked + k * accepted, minlength=2 * k)
     return counts[k:]
 
 
-def _map_chunks(fn, trials: int) -> np.ndarray:
-    """Sum of fn(start, count) over the chunks. Worker w sums every workers-th
-    chunk from chunk w on, so nothing is held per chunk. The calling thread is
-    worker 0, so its draw buffer serves every call."""
-    starts = _chunk_ranges(trials)
-    workers = _worker_count(len(starts))
-
-    def share(first: int) -> np.ndarray:
-        return sum(fn(s, min(CHUNK_TRIALS, trials - s)) for s in starts[first::workers])
-
-    if workers <= 1:
-        return share(0)
-    # map submits workers 1.. before share(0) runs here
+def _map_ranges(fn, trials: int) -> np.ndarray:
+    """Sum of fn(start, count) over one contiguous range of the trials per
+    worker. The calling thread is worker 0, so its draw buffer serves every
+    call."""
+    workers = _worker_count(trials)
+    if workers == 1:
+        return fn(0, trials)
+    edges = [trials * w // workers for w in range(workers + 1)]
+    counts = [stop - start for start, stop in zip(edges, edges[1:])]
+    # map submits workers 1.. before worker 0 counts here
     with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        return sum(pool.map(share, range(1, workers)), share(0))
+        return sum(pool.map(fn, edges[1:-1], counts[1:]), fn(0, counts[0]))
 
 
-def _post_selected_counts(
+def _sampling_pass(
     pre: StateVector,
     observable: Observable | None,
     post: StateVector,
     trials: int,
     seed: int,
     stream: int,
-) -> np.ndarray:
-    """Post-selected trials per branch of the observable (one entry when
-    there is none) over trials [0, trials) of the stream."""
-    _check_trials(trials)
-    seed = _validate_seed(seed)
-    _, _, rising, acceptance = _branch_tables(pre.amplitudes, observable, post.amplitudes)
-    accept_from = np.array([_accept_bound(t) for t in acceptance])
+):
+    """Check the arguments and build the tables of one pass over trials
+    [0, trials) of the stream. The returned call samples the pass and gives
+    its post-selected trials per branch of the observable (one entry when
+    there is none)."""
+    trials = _checked_int("trials", trials, 1, MAX_TRIALS)
+    seed = _checked_int("seed", seed, 0, 2**64 - 1)
+    _, _, rising, accept_from = _branch_tables(pre.amplitudes, observable, post.amplitudes)
     n_observables = 0 if observable is None else 1
-    chunk_counts = partial(_chunk_counts, seed, stream, n_observables, rising, accept_from)
-    return _map_chunks(chunk_counts, trials)
+    range_counts = partial(_range_counts, seed, stream, n_observables, rising, accept_from)
+    return partial(_map_ranges, range_counts, trials)
 
 
 def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats:
-    """Relative frequencies of the interposed outcomes over post-selected
-    trials; reproducible bit-exactly for a fixed (trials, seed)."""
-    counts = _post_selected_counts(ctx.pre, ctx.intervening, ctx.post, trials, seed, 0)
-    accepted = int(counts.sum())
-    if accepted == 0:
+    """Post-selected counts of the interposed outcomes and their relative
+    frequencies; reproducible bit-exactly for a fixed (trials, seed)."""
+    counts = _sampling_pass(ctx.pre, ctx.intervening, ctx.post, trials, seed, 0)()
+    if not counts.any():
         raise NoAcceptedTrials(
             f"no trial passed post-selection in {trials} trials; raise the trial count"
         )
-    labels = ctx.intervening.labels
-    freqs = counts / accepted
-    errors = np.sqrt(freqs * (1.0 - freqs) / accepted)
-    return EnsembleStats(
-        trials=trials,
-        accepted=accepted,
-        frequencies=tuple(zip(labels, map(float, freqs))),
-        std_errors=tuple(zip(labels, map(float, errors))),
-        seed=int(seed),
-    )
+    return EnsembleStats(trials, tuple(zip(ctx.intervening.labels, map(int, counts))), int(seed))
 
 
 def estimate_interposition_effect(
     pre: StateVector, q: Observable, post: StateVector, trials: int, seed: int
 ) -> tuple[float, float]:
     """Empirical post-selection rates without (stream 0) and with (stream 1)
-    the observable interposed."""
-    without = _post_selected_counts(pre, None, post, trials, seed, 0)
-    with_q = _post_selected_counts(pre, q, post, trials, seed, 1)
-    return int(without.sum()) / trials, int(with_q.sum()) / trials
+    the observable interposed. Both passes are checked before either samples."""
+    without = _sampling_pass(pre, None, post, trials, seed, 0)
+    with_q = _sampling_pass(pre, q, post, trials, seed, 1)
+    return int(without().sum()) / trials, int(with_q().sum()) / trials

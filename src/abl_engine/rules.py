@@ -36,7 +36,9 @@ def _snapped_weights(amplitudes) -> tuple[float, ...]:
     snap is unreachable. The rules and the sampler's acceptance all read
     weights snapped here.
     """
-    weights = (min(abs(complex(amp)) ** 2, 1.0) for amp in amplitudes)
+    # Python's abs and ** on each element: np.abs and np.square round some
+    # inputs differently, and every seeded report depends on these bits
+    weights = (min(abs(amp) ** 2, 1.0) for amp in np.asarray(amplitudes, dtype=complex).tolist())
     return tuple(0.0 if value <= ZERO_PROB_TOL else value for value in weights)
 
 
@@ -46,7 +48,7 @@ def _transition_weights(
     """Snapped |<a|P_k|b>|^2 for each outcome of the observable, or the one
     weight |<a|b>|^2 when there is none."""
     images = [post] if observable is None else [p.matrix @ post for p in observable.outcomes]
-    return _snapped_weights(np.vdot(pre, v) for v in images)
+    return _snapped_weights([np.vdot(pre, v) for v in images])
 
 
 def _projections(psi: np.ndarray, observable: Observable) -> tuple[np.ndarray, np.ndarray]:

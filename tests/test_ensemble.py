@@ -35,17 +35,16 @@ from abl_engine import (
 )
 from abl_engine import ensemble
 from abl_engine.ensemble import (
-    CHUNK_TRIALS,
     SUB_BATCH_TRIALS,
-    _accept_bound,
+    TRIALS_PER_WORKER,
     _branch_index,
     _branch_tables,
-    _chunk_counts,
-    _chunk_ranges,
     _closed_cumulative,
+    _range_counts,
     _raw_bound,
     _worker_count,
 )
+from abl_engine.rules import _transition_weights
 from conftest import (
     random_context,
     random_observable,
@@ -88,6 +87,19 @@ def test_seed_validation():
         trial_stream(True, 0)
     with pytest.raises(ValidationError):
         trial_stream(3, -1)
+    for kwargs in (
+        {"n_observables": -5},
+        {"n_observables": 1.5},
+        {"trial_index": 1.5},
+        {"trial_index": 2**256},  # the counter would wrap onto trial 0's blocks
+        {"n_observables": 2**260},
+        {"stream": -1},
+        {"stream": 2**64},
+        {"stream": True},
+    ):
+        with pytest.raises(ValidationError):
+            trial_stream(**{"seed": 0, "trial_index": 3, **kwargs})
+    assert trial_stream(0, 0, stream=2**64 - 1).random() != trial_stream(0, 0).random()
 
 
 def test_closed_cumulative_snaps_and_closes():
@@ -97,6 +109,20 @@ def test_closed_cumulative_snaps_and_closes():
     assert c[2] == c[1]  # snapped branch adds nothing
     with pytest.raises(RuntimeError):
         _closed_cumulative([0.0, 1e-14])
+
+
+def test_accept_bounds_close_the_binary_filter(monkeypatch):
+    # each acceptance bound of the table is the raw-draw bound of the first
+    # entry of the closed cumulative of {t, 1 - t}, for a branch that passes
+    # with t; with no observable the one branch has p = 1, so t is its weight
+    rng = np.random.default_rng(5)
+    ulp = 2.0**-52
+    special = [0.0, 1.0, 1.0 - ulp / 2, 1.0 + ulp, 1.0 - 1e-12, 1.0 - 2e-12, 1e-12, 2e-12, 2.0**-53]
+    psi = basis_state(2, 0).amplitudes
+    for t in [*special, *rng.random(20)]:
+        monkeypatch.setattr(ensemble, "_transition_weights", lambda *args: (t,))
+        (bound,) = _branch_tables(psi, None, psi)[3]
+        assert bound == _raw_bound(_closed_cumulative([t, 1.0 - t])[0]), t
 
 
 def test_zero_branches_never_drawn():
@@ -154,11 +180,15 @@ EDGE_WINDOW = 16
 
 def _check_against_trial_loop(monkeypatch, trial_counts, estimate_counts):
     """A loop over the first trials pins the stream layout from its start.
-    Each trial within EDGE_WINDOW of a sub-batch edge and of a chunk edge is
-    pinned on its own, as the difference of two estimates one trial apart."""
+    Each trial within EDGE_WINDOW of three edges is pinned on its own, as the
+    difference of two estimates one trial apart: a sub-batch edge; the count
+    at which one worker becomes two (on two CPUs or more); and twice that,
+    where the boundary between two workers' ranges crosses the first
+    worker's sub-batch edge."""
     prefix = np.cumsum([trial_counts(i) for i in range(LOOP_TRIALS)], axis=0)
     windows = [
-        range(edge - EDGE_WINDOW, edge + EDGE_WINDOW) for edge in (SUB_BATCH_TRIALS, CHUNK_TRIALS)
+        range(edge - EDGE_WINDOW, edge + EDGE_WINDOW)
+        for edge in (SUB_BATCH_TRIALS, TRIALS_PER_WORKER, 2 * TRIALS_PER_WORKER)
     ]
     expected = [[trial_counts(i) for i in window] for window in windows]
     for threads in ("1", "3"):
@@ -184,7 +214,7 @@ def _abl_counts(ctx, seed):
             stats = estimate_abl(ctx, trials, seed)
         except NoAcceptedTrials:
             return np.zeros(len(labels), dtype=int)
-        return np.array([round(stats.frequency(label) * stats.accepted) for label in labels])
+        return np.array([count for _, count in stats.counts])
 
     return trial_counts, estimate_counts
 
@@ -252,15 +282,15 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     picked = np.searchsorted(cumulative, 1.0 - x, side="left")
     assert np.array_equal(np.broadcast_to(_branch_index(x, rising), x.shape), picked)
 
-    # every (x, y) pair as one trial's draws, fed through the chunk kernel
+    # every (x, y) pair as one trial's draws, fed through the counting kernel
     draws = np.zeros((len(x) * len(y), 4))
     draws[:, 0] = np.repeat(x, len(y))
     draws[:, 1] = np.tile(y, len(x))
     picked = np.repeat(picked, len(y))
     accepted = 1.0 - draws[:, 1] <= thresholds[picked]
     expected = np.bincount(picked[accepted], minlength=k)
-    monkeypatch.setattr(ensemble, "_chunk_draws", lambda *args: iter([draws]))
-    counts = _chunk_counts(0, 0, 1, rising, accept_from, 0, len(draws))
+    monkeypatch.setattr(ensemble, "_range_draws", lambda *args: iter([draws]))
+    counts = _range_counts(0, 0, 1, rising, accept_from, 0, len(draws))
     assert np.array_equal(counts, expected)
 
     # no observable: no branch bounds, and column 0 decides the post-selection
@@ -268,8 +298,8 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
         column = _draws_near([t])
         direct = np.zeros((len(column), 4))
         direct[:, 0] = column
-        monkeypatch.setattr(ensemble, "_chunk_draws", lambda *args: iter([direct]))
-        hits = _chunk_counts(0, 0, 0, np.empty(0), _raw_bound([t]), 0, len(column))
+        monkeypatch.setattr(ensemble, "_range_draws", lambda *args: iter([direct]))
+        hits = _range_counts(0, 0, 0, np.empty(0), _raw_bound([t]), 0, len(column))
         assert np.array_equal(hits, [np.count_nonzero(1.0 - column <= t)])
 
 
@@ -286,9 +316,10 @@ class _Draws:
 @pytest.mark.parametrize("ctx", [three_box().context, spin_half().context])
 def test_run_trial_reproduces_searchsorted_on_u(ctx):
     pre, post = ctx.pre.amplitudes, ctx.post.amplitudes
-    _, probs, _, acceptance = _branch_tables(pre, ctx.intervening, post)
+    _, probs, _, _ = _branch_tables(pre, ctx.intervening, post)
     cumulative = _closed_cumulative(probs)
-    thresholds = [_closed_cumulative([t, 1.0 - t])[0] for t in acceptance]
+    weights = _transition_weights(pre, ctx.intervening, post)
+    thresholds = [_closed_cumulative([w / p, 1.0 - w / p])[0] for w, p in zip(weights, probs)]
     for x in _draws_near(cumulative):
         k = np.searchsorted(cumulative, 1.0 - x, side="left")
         for y in _draws_near(thresholds):
@@ -311,16 +342,16 @@ LAW_ULPS = 4
 
 
 def _exact_law(ctx):
-    _, _, rising, acceptance = _branch_tables(
+    _, _, rising, accept_from = _branch_tables(
         ctx.pre.amplitudes, ctx.intervening, ctx.post.amplitudes
     )
     rising = [Fraction(b) for b in rising]
-    accept_from = [Fraction(_accept_bound(t)) for t in acceptance]
+    accept_from = [Fraction(b) for b in accept_from]
     assert all((b * 2**53).denominator == 1 for b in rising + accept_from)
     # the branch is the number of rising bounds above x, so branch j owns
     # [edges[k - 1 - j], edges[k - j]); acceptance needs x >= its bound
     edges = [Fraction(0), *rising, Fraction(1)]
-    k = len(acceptance)
+    k = len(accept_from)
     return [(edges[k - j] - edges[k - 1 - j]) * (1 - a) for j, a in enumerate(accept_from)]
 
 
@@ -354,16 +385,18 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     # computes the count only; never starts the threads
     cpus = os.cpu_count() or 1
     monkeypatch.setenv("ABL_ENGINE_THREADS", "100000")
-    assert _worker_count(len(_chunk_ranges(10**9))) == cpus
+    assert _worker_count(10**9) == cpus
     assert _worker_count(1) == 1
+    assert _worker_count(TRIALS_PER_WORKER) == 1
+    assert _worker_count(TRIALS_PER_WORKER + 1) == min(cpus, 2)
     monkeypatch.setenv("ABL_ENGINE_THREADS", "1")
-    assert _worker_count(15259) == 1
+    assert _worker_count(10**9) == 1
     monkeypatch.setenv("ABL_ENGINE_THREADS", "0")
-    assert _worker_count(15259) == min(cpus, 8)
+    assert _worker_count(10**9) == min(cpus, 8)
 
 
 def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
-    # drawing a whole 2**16-trial chunk at once peaks near 4 MiB of draws and
+    # drawing 2**16 trials' draws at once peaks near 4 MiB of draws and
     # temporaries. The warm-up call takes the one-time costs out of the
     # measurement: numpy's lazy random-module import and this thread's
     # 512 KiB draw buffer.
@@ -381,7 +414,7 @@ def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
 def test_two_worker_estimate_reuses_the_calling_threads_buffer(monkeypatch):
-    # the calling thread sums worker 0's chunks with the draw buffer the
+    # the calling thread counts worker 0's range with the draw buffer the
     # warm-up left it, so only worker 1 makes a 512 KiB buffer; when the pool
     # ran both workers, each made one and the peak was 1.76 MiB
     monkeypatch.setenv("ABL_ENGINE_THREADS", "2")
@@ -494,13 +527,18 @@ def test_trial_count_is_checked_before_any_work(monkeypatch):
     def no_work(*args):
         raise Started
 
-    monkeypatch.setattr(ensemble, "_map_chunks", no_work)
+    monkeypatch.setattr(ensemble, "_map_ranges", no_work)
     ctx = three_box().context
     for trials in (10**20, ensemble.MAX_TRIALS + 1):
         with pytest.raises(ValidationError):
             estimate_abl(ctx, trials, 0)
         with pytest.raises(ValidationError):
             estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, 0)
+    # the interposed pass's tables are checked before the direct pass samples
+    with pytest.raises(DimensionMismatch):
+        estimate_interposition_effect(
+            ctx.pre, spin_half().context.intervening, ctx.post, 2**22, 1
+        )
     with pytest.raises(Started):
         estimate_abl(ctx, ensemble.MAX_TRIALS, 0)
 
@@ -511,6 +549,11 @@ def test_estimate_validation():
         estimate_abl(ctx, 0, 1)
     with pytest.raises(ValidationError):
         estimate_abl(ctx, 10, -1)
+    for trials, seed in ((10.0, 1), (True, 1), (10, 1.5), (10, True), (10, 2**64)):
+        with pytest.raises(ValidationError):
+            estimate_abl(ctx, trials, seed)
+        with pytest.raises(ValidationError):
+            estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, seed)
 
 
 def test_interposition_effect_three_box():
@@ -596,14 +639,15 @@ def test_chaining_two_observables_matches_path_enumeration():
 
 
 def test_ensemble_stats_validation():
-    with pytest.raises(ValidationError):
-        EnsembleStats(0, 0, (), (), 1)
-    with pytest.raises(ValidationError):
-        EnsembleStats(10, 11, (("a", 1.0),), (("a", 0.0),), 1)
-    with pytest.raises(ValidationError):
-        EnsembleStats(10, 5, (("a", 0.4),), (("a", 0.0),), 1)  # sums to 0.4
-    with pytest.raises(ValidationError):
-        EnsembleStats(10, 5, (("a", 1.0),), (("b", 0.0),), 1)  # label mismatch
-    stats = EnsembleStats(10, 5, (("a", 1.0),), (("a", 0.0),), 1)
-    assert stats.acceptance_rate == 0.5
+    # the record holds counts; every other value is derived from them
+    stats = EnsembleStats(10, (("a", 3), ("b", 1), ("c", 0)), 1)
+    assert stats.accepted == 4
+    assert stats.acceptance_rate == 0.4
+    assert stats.frequencies == (("a", 0.75), ("b", 0.25), ("c", 0.0))
+    # sqrt(3/4 * 1/4 / 4) = sqrt(3) / 8, correctly rounded either way
+    assert stats.std_errors == (("a", math.sqrt(3) / 8), ("b", math.sqrt(3) / 8), ("c", 0.0))
+    assert stats.frequency("b") == 0.25
+    assert stats.std_error("c") == 0.0
+    certain = EnsembleStats(7, (("a", 7),), 2)
+    assert (certain.frequencies, certain.std_errors) == ((("a", 1.0),), (("a", 0.0),))
 
