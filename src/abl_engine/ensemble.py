@@ -89,7 +89,7 @@ def _checked_int(name: str, value, low: int, high: int) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if not low <= value <= high:
-        raise ValidationError(f"{name} must be in [{low}, {high}], got {value}")
+        raise ValidationError(f"{name} must be in {low}..{high}, got {value}")
     return int(value)
 
 
@@ -141,9 +141,12 @@ def trial_stream(
 # equals u <= threshold.
 
 
+def _snap(p) -> np.ndarray:
+    return np.where(p <= ZERO_PROB_TOL, 0.0, p)
+
+
 def _closed_cumulative(probs: Sequence[float]) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    p = np.where(p <= ZERO_PROB_TOL, 0.0, p)
+    p = _snap(np.asarray(probs, dtype=float))
     total = p.sum()
     if total <= 0.0:
         raise RuntimeError("no branch has positive probability")
@@ -177,8 +180,7 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
         projected, probs = _projections(psi, observable)
     weights = np.array(_transition_weights(psi, observable, post))
     t = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL)
-    passes = np.where(t <= ZERO_PROB_TOL, 0.0, t)
-    fails = np.where(1.0 - t <= ZERO_PROB_TOL, 0.0, 1.0 - t)
+    passes, fails = _snap(t), _snap(1.0 - t)
     accept_from = _raw_bound(np.where(fails == 0.0, 1.0, passes / (passes + fails)))
     rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
     return projected, probs, rising, accept_from
