@@ -161,10 +161,17 @@ def trivial_observable(dim: int, label: str = "any") -> Observable:
 # operations
 
 
+def _same_dim(*objects) -> None:
+    """Refuse objects (None skipped) of more than one dimension, listing every
+    dimension in argument order."""
+    dims = [obj.dim for obj in objects if obj is not None]
+    if len(set(dims)) > 1:
+        raise DimensionMismatch(f"dimensions differ: {dims}")
+
+
 def inner(x: StateVector, y: StateVector) -> complex:
     """<x|y>: conjugate-linear in x, linear in y."""
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"state dims differ: {x.dim} vs {y.dim}")
+    _same_dim(x, y)
     return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
@@ -173,11 +180,9 @@ def projector_from_span(vectors, label: str) -> Projector:
     vectors = list(vectors)
     if not vectors:
         raise ValidationError("span needs at least one vector")
-    dim = vectors[0].dim
-    if any(v.dim != dim for v in vectors):
-        raise DimensionMismatch("span vectors must share one dimension")
+    _same_dim(*vectors)
     stacked = np.column_stack([v.amplitudes for v in vectors])
-    if len(vectors) > dim:
+    if len(vectors) > vectors[0].dim:
         raise DegenerateSpan("more span vectors than the dimension allows")
     singular = np.linalg.svd(stacked, compute_uv=False)
     if float(singular.min()) <= RANK_TOL:
@@ -188,11 +193,27 @@ def projector_from_span(vectors, label: str) -> Projector:
     return Projector(matrix, label)
 
 
-def born_prob_pure(psi: StateVector, q: StateVector) -> float:
-    """|<psi|q>|^2 for unit vectors."""
+def _snap(p):
+    """p (a float or an array) with entries at or below ZERO_PROB_TOL set to 0:
+    the one rule for what is impossible. Each probability is snapped where it
+    is made, so later code tests it for exact zero."""
+    # a product keeps a Python float a float; a negative p (1 - t) gives -0.0
+    return p * (p > ZERO_PROB_TOL)
+
+
+def _snapped_weights(amplitudes) -> tuple[float, ...]:
+    """|amp|^2 for each amplitude, clamped to at most 1, then snapped."""
     # unit-norm inputs are checked within NORM_TOL, so a valid state can give
-    # a value just above 1
-    return min(abs(inner(psi, q)) ** 2, 1.0)
+    # a value just above 1. Python's abs and ** on each element: np.abs and
+    # np.square round some inputs differently, and every seeded report
+    # depends on these bits
+    amplitudes = np.asarray(amplitudes, dtype=complex).tolist()
+    return tuple(_snap(min(abs(amp) ** 2, 1.0)) for amp in amplitudes)
+
+
+def born_prob_pure(psi: StateVector, q: StateVector) -> float:
+    """|<psi|q>|^2 for unit vectors, clamped and snapped as every weight is."""
+    return _snapped_weights([inner(psi, q)])[0]
 
 
 # ---------------------------------------------------------------------------

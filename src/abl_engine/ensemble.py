@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ZERO_PROB_TOL, Observable, StateVector
-from .errors import DimensionMismatch, NoAcceptedTrials, ValidationError
+from .core import Observable, StateVector, _same_dim, _snap
+from .errors import NoAcceptedTrials, ValidationError
 from .rules import SelectionContext, _projections, _transition_weights
 
 DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four doubles
@@ -60,6 +60,8 @@ class EnsembleStats:
 
     @property
     def frequencies(self) -> tuple[tuple[str, float], ...]:
+        if not self.accepted:
+            raise NoAcceptedTrials(f"no trial of {self.trials} passed post-selection")
         labels, counts = zip(*self.counts)
         return tuple(zip(labels, map(float, np.array(counts) / self.accepted)))
 
@@ -126,9 +128,9 @@ def trial_stream(
 # ---------------------------------------------------------------------------
 # branch tables
 
-# The cumulative array is "closed": branch probabilities at or below
-# ZERO_PROB_TOL are snapped to zero and the rest renormalized, then every
-# entry from the last positive branch on is set to exactly 1.0. Drawing
+# The cumulative array is "closed": the branch probabilities, snapped where
+# _projections made them, are renormalized, then every entry from the last
+# positive branch on is set to exactly 1.0. Drawing
 # u in (0, 1] with searchsorted(side="left") then never selects a zero
 # branch, always selects some branch, and resolves boundary ties to the
 # lower-indexed outcome.
@@ -141,18 +143,9 @@ def trial_stream(
 # equals u <= threshold.
 
 
-def _snap(p) -> np.ndarray:
-    return np.where(p <= ZERO_PROB_TOL, 0.0, p)
-
-
-def _closed_cumulative(probs: Sequence[float]) -> np.ndarray:
-    p = _snap(np.asarray(probs, dtype=float))
-    total = p.sum()
-    if total <= 0.0:
-        raise RuntimeError("no branch has positive probability")
-    c = np.cumsum(p / total)
-    last_positive = int(np.nonzero(p)[0][-1])
-    c[last_positive:] = 1.0
+def _closed_cumulative(probs: np.ndarray) -> np.ndarray:
+    c = np.cumsum(probs / probs.sum())
+    c[int(np.nonzero(probs)[0][-1]):] = 1.0
     return c
 
 
@@ -165,21 +158,19 @@ def _raw_bound(values) -> np.ndarray:
 
 def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndarray):
     """One ideal measurement of the pure state psi before the post-selection
-    on |post>: the projected vectors P_k psi, their probabilities
+    on |post>: the projected vectors P_k psi, their snapped probabilities
     p_k = ||P_k psi||^2, the raw-draw bounds that _branch_index takes, and
     each branch's acceptance bound. A branch passes the post-selection with
     t_k, its snapped transition weight over p_k (0 if never drawn); the
     bound is the raw-draw bound of the first entry of the closed cumulative
     of the binary filter {t_k, 1 - t_k}. With no observable, psi is the one
     branch, taken with p = 1."""
-    if len(post) != len(psi) or (observable is not None and observable.dim != len(psi)):
-        raise DimensionMismatch("pre, post, and observables must share one dimension")
     if observable is None:
         projected, probs = [psi], np.ones(1)
     else:
         projected, probs = _projections(psi, observable)
     weights = np.array(_transition_weights(psi, observable, post))
-    t = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > ZERO_PROB_TOL)
+    t = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > 0.0)
     passes, fails = _snap(t), _snap(1.0 - t)
     accept_from = _raw_bound(np.where(fails == 0.0, 1.0, passes / (passes + fails)))
     rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
@@ -207,6 +198,7 @@ def run_trial(
     """One simulated history: measure each observable in order, continuing
     from each outcome's projected state, then apply the final post-selection
     filter. Takes one draw per observable and one for the filter."""
+    _same_dim(pre, *observables, post)
     psi, k, labels = pre.amplitudes, 0, []
     for obs in observables or [None]:
         projected, probs, rising, accept_from = _branch_tables(psi, obs, post.amplitudes)
@@ -340,6 +332,7 @@ def _sampling_pass(
     there is none)."""
     trials = _checked_int("trials", trials, 1, MAX_TRIALS)
     seed = _checked_int("seed", seed, 0, 2**64 - 1)
+    _same_dim(pre, observable, post)
     _, _, rising, accept_from = _branch_tables(pre.amplitudes, observable, post.amplitudes)
     n_observables = 0 if observable is None else 1
     range_counts = partial(_range_counts, seed, stream, n_observables, rising, accept_from)

@@ -13,10 +13,9 @@ from typing import Literal
 
 import numpy as np
 
-from .core import NORM_TOL, ZERO_PROB_TOL, Observable, StateVector
+from .core import NORM_TOL, Observable, StateVector, _same_dim, _snap, _snapped_weights
 from .errors import (
     DegeneratePostObservable,
-    DimensionMismatch,
     ImpossiblePostSelection,
     NonCommutingObservables,
     OrthogonalPrePost,
@@ -26,20 +25,6 @@ from .errors import (
 COND_TOL = 1e-9  # decomposition validity conditions
 
 WhichCondition = Literal["Q_equals_A", "Q_equals_B", "interference_term_zero", "none"]
-
-
-def _snapped_weights(amplitudes) -> tuple[float, ...]:
-    """|amp|^2 for each transition amplitude, clamped to at most 1.
-
-    This is the one rule for what is impossible: a weight at or below
-    ZERO_PROB_TOL snaps to exactly 0, and a pre/post pair whose weights all
-    snap is unreachable. The rules and the sampler's acceptance all read
-    weights snapped here.
-    """
-    # Python's abs and ** on each element: np.abs and np.square round some
-    # inputs differently, and every seeded report depends on these bits
-    weights = (min(abs(amp) ** 2, 1.0) for amp in np.asarray(amplitudes, dtype=complex).tolist())
-    return tuple(0.0 if value <= ZERO_PROB_TOL else value for value in weights)
 
 
 def _transition_weights(
@@ -52,10 +37,10 @@ def _transition_weights(
 
 
 def _projections(psi: np.ndarray, observable: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """The projected vectors P_j psi, one row per outcome, and their Born
-    weights ||P_j psi||^2."""
+    """The projected vectors P_j psi, one row per outcome, and their snapped
+    Born weights ||P_j psi||^2."""
     projected = np.array([p.matrix @ psi for p in observable.outcomes])
-    return projected, np.array([np.vdot(v, v).real for v in projected])
+    return projected, _snap(np.array([np.vdot(v, v).real for v in projected]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,11 +60,9 @@ class SelectionContext:
     transition_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        dims = {self.pre.dim, self.post.dim, self.intervening.dim}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"context dims differ: {sorted(dims)}")
+        _same_dim(self.pre, self.post, self.intervening)
         weights = _transition_weights(self.pre.amplitudes, self.intervening, self.post.amplitudes)
-        if sum(weights) <= ZERO_PROB_TOL:
+        if not any(weights):
             raise ImpossiblePostSelection(
                 "pre/post pair is unreachable with this observable interposed"
             )
@@ -219,8 +202,7 @@ def abl_trivial_reduction(pre: StateVector, q_basis: Observable) -> ProbabilityD
     normalized); agreement with the one-time Born values is a theorem, not
     an implementation shortcut.
     """
-    if pre.dim != q_basis.dim:
-        raise DimensionMismatch(f"dims differ: {pre.dim} vs {q_basis.dim}")
+    _same_dim(pre, q_basis)
     _, numerators = _projections(pre.amplitudes, q_basis)
     values = numerators / sum(numerators)
     return ProbabilityDistribution(tuple(zip(q_basis.labels, map(float, values))))
@@ -255,8 +237,7 @@ def decomposition_check(
     observable (Q_equals_A), every post ket is (Q_equals_B), or all
     interference cross-terms vanish (interference_term_zero).
     """
-    if not pre.dim == q.dim == b_obs.dim:
-        raise DimensionMismatch("pre state and both observables must share one dimension")
+    _same_dim(pre, q, b_obs)
     if len(b_obs.outcomes) < 2 or any(p.rank != 1 for p in b_obs.outcomes):
         raise DegeneratePostObservable(
             "post observable needs at least two rank-1 outcomes"
@@ -274,7 +255,7 @@ def decomposition_check(
     joint = np.array([_snapped_weights(row) for row in amp])  # p(q_j, b_i | a)
     with_q = joint.sum(axis=1)  # p(b_i | a, Q)
     for label, value in zip(b_obs.labels, with_q):
-        if value <= ZERO_PROB_TOL:
+        if value == 0.0:
             raise DegeneratePostObservable(
                 f"outcome {label!r} is unreachable when the observable is measured"
             )
@@ -315,8 +296,7 @@ def interposition_inequality(
     transition weights. Both are returned for comparison; p_with_Q is
     positive whenever p_direct is, but neither dominates the other in general.
     """
-    if not pre.dim == q.dim == post.dim:
-        raise DimensionMismatch("states and observable must share one dimension")
+    _same_dim(pre, q, post)
     (p_direct,) = _transition_weights(pre.amplitudes, None, post.amplitudes)
     p_with_q = sum(_transition_weights(pre.amplitudes, q, post.amplitudes))
     return p_direct, min(p_with_q, 1.0)
@@ -338,8 +318,7 @@ def product_rule_check(
     violation when both probabilities are one yet the product of the
     designated projectors is the zero operator.
     """
-    if not pre.dim == post.dim == x.dim == y.dim:
-        raise DimensionMismatch("states and both observables must share one dimension")
+    _same_dim(pre, post, x, y)
     for px in x.outcomes:
         for py in y.outcomes:
             commutator = px.matrix @ py.matrix - py.matrix @ px.matrix

@@ -96,3 +96,13 @@ def snapped_weight_context() -> SelectionContext:
         tuple(projector_from_span([basis_state(2, i)], f"z{i}") for i in range(2))
     )
     return SelectionContext(a, b, basis)
+
+
+def snapped_born_context() -> SelectionContext:
+    """d = 2 with the basis observable, a = (e, sqrt(1 - e^2)), e^2 = 5e-13,
+    and b = (1, 1) / sqrt 2. Outcome 0's Born weight ||P_0 a||^2 = 5e-13
+    snaps to 0, and so does its transition weight e^2 / 2."""
+    e = math.sqrt(5e-13)
+    a = StateVector(np.array([e, math.sqrt(1.0 - e * e)], dtype=complex))
+    b = StateVector.normalized([1.0, 1.0])
+    return SelectionContext(a, b, snapped_weight_context().intervening)

@@ -283,6 +283,9 @@ def test_run_config_direct_use(tmp_path):
     config = RunConfig(command="scenario", scenario="three-box", variant="QB", out_path=str(out))
     assert run(config) == 0
     assert json.loads(out.read_text())["results"]["abl"]["B"] == 1.0
+    for bad in (RunConfig(command="nope"), RunConfig(command="scenario", output_format="xml")):
+        with pytest.raises(abl_engine.ValidationError):
+            run(bad)
 
 
 # every file command's required inputs, written out independently of the CLI

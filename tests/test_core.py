@@ -77,6 +77,14 @@ def test_projector_invariants():
         Projector(0.5 * np.eye(2, dtype=complex), "half")  # not idempotent
     with pytest.raises(ValidationError):
         Projector(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), "raise")
+    for matrix, label in (
+        (np.zeros((2, 3)), "wide"),
+        (np.eye(MAX_DIM + 1), "big"),
+        (np.diag([np.nan, 1.0]), "nan"),
+        (np.eye(2), 7),
+    ):
+        with pytest.raises(ValidationError):
+            Projector(matrix, label)
 
 
 def test_observable_invariants():
@@ -97,6 +105,8 @@ def test_observable_invariants():
         Observable((p0, Projector(np.diag([0.0, 1.0]).astype(complex), "up")))  # duplicate label
     with pytest.raises(ValidationError):
         Observable((Projector(np.eye(2, dtype=complex), ""),))
+    with pytest.raises(ValidationError):
+        Observable((p0, p1, Projector(np.zeros((3, 3)), "wider")))  # mixed dimensions
 
 
 def test_trivial_observable():
@@ -138,6 +148,9 @@ def test_projector_from_span_rejects_degenerate_spans():
         projector_from_span([s, basis_state(2, 1), StateVector.normalized([1, 1])], "over")
     with pytest.raises(ValidationError):
         projector_from_span([], "empty")
+    # one error that lists every dimension in argument order
+    with pytest.raises(DimensionMismatch, match=r"^dimensions differ: \[2, 3, 2\]$"):
+        projector_from_span([s, basis_state(3, 0), basis_state(2, 1)], "mixed")
 
 
 @settings(deadline=None)
@@ -244,6 +257,9 @@ def test_observable_json_round_trip():
     assert back.labels == obs.labels
     for p, q in zip(obs.outcomes, back.outcomes):
         assert np.abs(p.matrix - q.matrix).max() < 1e-10
+    empty = Projector(np.zeros((2, 2)), "never")
+    with pytest.raises(ValidationError):
+        observable_to_json(Observable((Projector(np.eye(2), "always"), empty)))
 
 
 @pytest.mark.parametrize(
@@ -273,6 +289,8 @@ def test_state_from_json_rejects_malformed(payload):
         {"dim": 2, "outcomes": []},
         {"dim": 2, "outcomes": [{"span": []}]},
         {"dim": 2, "outcomes": [{"label": "a", "span": []}]},
+        {"dim": "2", "outcomes": [{"label": "a", "span": [{"dim": 2, "amplitudes": [[1, 0], [0, 0]]}]}]},
+        {"dim": 2, "outcomes": [{"label": 7, "span": [{"dim": 2, "amplitudes": [[1, 0], [0, 0]]}]}]},
         {
             "dim": 2,
             "outcomes": [

@@ -21,10 +21,14 @@ from abl_engine import (
     StateVector,
     ValidationError,
     abl,
+    abl_trivial_reduction,
     basis_state,
+    born_prob_pure,
+    decomposition_check,
     estimate_abl,
     estimate_interposition_effect,
     inner,
+    interposition_inequality,
     marginal_with_Q,
     projector_from_span,
     run_trial,
@@ -34,6 +38,7 @@ from abl_engine import (
     trivial_observable,
 )
 from abl_engine import ensemble
+from abl_engine.core import _snap
 from abl_engine.ensemble import (
     SUB_BATCH_TRIALS,
     TRIALS_PER_WORKER,
@@ -49,6 +54,7 @@ from conftest import (
     random_context,
     random_observable,
     random_state,
+    snapped_born_context,
     snapped_weight_context,
 )
 
@@ -103,12 +109,12 @@ def test_seed_validation():
 
 
 def test_closed_cumulative_snaps_and_closes():
-    c = _closed_cumulative([0.0, 0.5, 1e-15, 0.5])
+    # probabilities are snapped where they are made, as _projections does for
+    # the table, and the cumulative keeps the snapped zeros
+    c = _closed_cumulative(_snap(np.array([0.0, 0.5, 1e-15, 0.5])))
     assert c[0] == 0.0
     assert c[-1] == 1.0
     assert c[2] == c[1]  # snapped branch adds nothing
-    with pytest.raises(RuntimeError):
-        _closed_cumulative([0.0, 1e-14])
 
 
 def test_accept_bounds_close_the_binary_filter(monkeypatch):
@@ -122,11 +128,11 @@ def test_accept_bounds_close_the_binary_filter(monkeypatch):
     for t in [*special, *rng.random(20)]:
         monkeypatch.setattr(ensemble, "_transition_weights", lambda *args: (t,))
         (bound,) = _branch_tables(psi, None, psi)[3]
-        assert bound == _raw_bound(_closed_cumulative([t, 1.0 - t])[0]), t
+        assert bound == _raw_bound(_closed_cumulative(_snap(np.array([t, 1.0 - t])))[0]), t
 
 
 def test_zero_branches_never_drawn():
-    cumulative = _closed_cumulative([0.0, 1.0, 0.0])
+    cumulative = _closed_cumulative(_snap(np.array([0.0, 1.0, 0.0])))
     rng = trial_stream(1, 0)
     draws = rng.random(1000)
     picked = np.searchsorted(cumulative, 1.0 - draws, side="left")
@@ -273,7 +279,7 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     rng = np.random.default_rng(k)
     probs = rng.random(k) * (rng.random(k) < 0.8)
     probs[rng.integers(k)] = 1.0
-    cumulative = _closed_cumulative(probs)
+    cumulative = _closed_cumulative(_snap(probs))
     special = [0.0, 1.0, np.nextafter(1.0, 0.0), 1.0 - 2.0**-52, 2.0**-53, 2.0**-54, 1e-300]
     thresholds = np.where(rng.random(k) < 0.5, rng.choice(special, k), rng.random(k))
     rising, accept_from = _raw_bound(cumulative[:-1][::-1]), _raw_bound(thresholds)
@@ -319,7 +325,9 @@ def test_run_trial_reproduces_searchsorted_on_u(ctx):
     _, probs, _, _ = _branch_tables(pre, ctx.intervening, post)
     cumulative = _closed_cumulative(probs)
     weights = _transition_weights(pre, ctx.intervening, post)
-    thresholds = [_closed_cumulative([w / p, 1.0 - w / p])[0] for w, p in zip(weights, probs)]
+    thresholds = [
+        _closed_cumulative(_snap(np.array([w / p, 1.0 - w / p])))[0] for w, p in zip(weights, probs)
+    ]
     for x in _draws_near(cumulative):
         k = np.searchsorted(cumulative, 1.0 - x, side="left")
         for y in _draws_near(thresholds):
@@ -367,12 +375,35 @@ LAW_CONTEXTS = {
     **{f"three-box-{name}": three_box().context_for(name) for name in three_box().variant_names},
     "spin-half": spin_half().context,
     "snapped-weight": snapped_weight_context(),
+    "snapped-born": snapped_born_context(),
 }
 
 
 @pytest.mark.parametrize("name", LAW_CONTEXTS)
 def test_sampler_law_is_abl(name):
     _assert_law_is_abl(LAW_CONTEXTS[name])
+
+
+@pytest.mark.parametrize("name", ["snapped-weight", "snapped-born"])
+def test_born_values_are_zero_exactly_where_the_table_never_draws(name):
+    # Born weights are snapped where they are made, so the one-time values
+    # agree with the branch probabilities the sampler draws from
+    ctx = LAW_CONTEXTS[name]
+    pre, z = ctx.pre, ctx.intervening  # the basis observable of d = 2
+    _, probs, _, _ = _branch_tables(pre.amplitudes, z, ctx.post.amplitudes)
+    never_drawn = [p == 0.0 for p in probs]
+    assert never_drawn == [name == "snapped-born", False]
+    kets = [basis_state(2, k) for k in range(2)]
+    assert [born_prob_pure(ket, pre) == 0.0 for ket in kets] == never_drawn
+    assert [interposition_inequality(ket, trivial_observable(2), pre)[0] for ket in kets] == [
+        born_prob_pure(ket, pre) for ket in kets
+    ]
+    assert [value == 0.0 for _, value in abl_trivial_reduction(pre, z).entries] == never_drawn
+    x_basis = Observable(
+        tuple(projector_from_span([StateVector.normalized([1.0, s])], f"x{s}") for s in (1, -1))
+    )
+    lhs = [row.lhs for row in decomposition_check(pre, z, x_basis).outcomes]
+    assert [value == 0.0 for value in lhs] == never_drawn
 
 
 @settings(deadline=None)
@@ -650,4 +681,10 @@ def test_ensemble_stats_validation():
     assert stats.std_error("c") == 0.0
     certain = EnsembleStats(7, (("a", 7),), 2)
     assert (certain.frequencies, certain.std_errors) == ((("a", 1.0),), (("a", 0.0),))
+    # no accepted trial: the same typed error as estimate_abl, not 0 / 0
+    empty = EnsembleStats(10, (("a", 0),), 1)
+    assert (empty.accepted, empty.acceptance_rate) == (0, 0.0)
+    for derived in ("frequencies", "std_errors"):
+        with pytest.raises(NoAcceptedTrials):
+            getattr(empty, derived)
 

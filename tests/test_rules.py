@@ -40,6 +40,7 @@ from conftest import (
     random_context,
     random_observable,
     random_state,
+    snapped_born_context,
     snapped_weight_context,
 )
 
@@ -247,8 +248,13 @@ def test_abl_with_trivial_observable():
 def test_abl_exact_zero_for_impossible_outcomes():
     a, b, _, qa, _ = _boxes()
     # the B∪C branch has vanishing transition amplitude: exactly zero, not 1e-35;
-    # z0's weight 5e-13 is below the snap. Every rule reads the snapped weights.
-    for ctx, label in ((SelectionContext(a, b, qa), "B∪C"), (snapped_weight_context(), "z0")):
+    # z0's weight 5e-13 (2.5e-13 with its Born weight 5e-13) is below the
+    # snap. Every rule reads the snapped weights.
+    for ctx, label in (
+        (SelectionContext(a, b, qa), "B∪C"),
+        (snapped_weight_context(), "z0"),
+        (snapped_born_context(), "z0"),
+    ):
         assert abl(ctx)[label] == 0.0
         assert kastner(ctx)[label] == 0.0
         assert sequential_prob(ctx, label) == 0.0
@@ -284,6 +290,8 @@ def test_trivial_reduction_three_box():
     dist = abl_trivial_reduction(a, full)
     for label in "ABC":
         assert dist[label] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    with pytest.raises(DimensionMismatch):
+        abl_trivial_reduction(basis_state(2, 0), full)
 
 
 def test_kastner_three_box_weights():
