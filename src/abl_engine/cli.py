@@ -64,13 +64,17 @@ def _read_file(path: str) -> bytes:
 
 
 def _load_json(path: str, parse):
-    """(parse(payload), {path, sha256}) for one input file."""
+    """(parse(payload), {path, sha256}) for one input file; an EngineError
+    from parse is raised again with the path before its message."""
     raw = _read_file(path)
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
-    return parse(payload), {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    try:
+        return parse(payload), {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
+    except EngineError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +255,7 @@ def _scenario_inputs(config: RunConfig):
             f"unknown scenario {config.scenario!r}; choose from {', '.join(sorted(SCENARIOS))}"
         )
     bundle = SCENARIOS[config.scenario]()
-    variant = config.variant if config.variant is not None else bundle.variants[0][0]
+    variant = config.variant if config.variant is not None else next(iter(bundle.variants))
     meta = {"scenario": {"name": bundle.name, "variant": variant}}
     return bundle.context.pre, bundle.context.post, (bundle.variant(variant),), meta
 

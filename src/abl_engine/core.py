@@ -10,7 +10,7 @@ so no propagator exists here.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,18 +113,19 @@ class Observable:
     """Ordered, labeled, orthogonal, complete family of projectors."""
 
     outcomes: tuple[Projector, ...]
+    _positions: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         outcomes = tuple(self.outcomes)
         if not outcomes:
             raise ValidationError("observable needs at least one outcome")
+        _same_dim(*outcomes)
         dim = outcomes[0].dim
-        if any(p.dim != dim for p in outcomes):
-            raise ValidationError("all outcome projectors must share one dimension")
         labels = [p.label for p in outcomes]
         if any(not lbl for lbl in labels):
             raise ValidationError("outcome labels must be nonempty")
-        if len(set(labels)) != len(labels):
+        positions = {label: j for j, label in enumerate(labels)}
+        if len(positions) != len(labels):
             raise ValidationError("outcome labels must be unique")
         for j in range(len(outcomes)):
             for k in range(j + 1, len(outcomes)):
@@ -136,6 +137,7 @@ class Observable:
         if np.abs(total - np.eye(dim)).max() > NORM_TOL:
             raise ValidationError("outcome projectors must sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def dim(self) -> int:
@@ -145,11 +147,14 @@ class Observable:
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.outcomes)
 
+    def _position(self, label: str) -> int:
+        try:
+            return self._positions[label]
+        except KeyError:
+            raise UnknownOutcomeLabel(f"no outcome labeled {label!r}") from None
+
     def projector(self, label: str) -> Projector:
-        for p in self.outcomes:
-            if p.label == label:
-                return p
-        raise UnknownOutcomeLabel(f"no outcome labeled {label!r}")
+        return self.outcomes[self._position(label)]
 
 
 def trivial_observable(dim: int, label: str = "any") -> Observable:

@@ -78,10 +78,13 @@ class _LabeledValues:
     """Values under unique labels; each subclass checks the values."""
 
     entries: tuple[tuple[str, float], ...]
+    _values: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+        values = dict(self.entries)
+        if len(values) != len(self.entries):
             raise ValidationError(f"{type(self).__name__} labels must be unique")
+        object.__setattr__(self, "_values", values)
         self._check_values()
 
     @property
@@ -89,13 +92,10 @@ class _LabeledValues:
         return tuple(label for label, _ in self.entries)
 
     def __getitem__(self, label: str) -> float:
-        for key, value in self.entries:
-            if key == label:
-                return value
-        raise KeyError(label)
+        return self._values[label]
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self.entries)
+        return dict(self._values)
 
 
 class ProbabilityDistribution(_LabeledValues):
@@ -168,8 +168,7 @@ class ProductRuleReport:
 
 def sequential_prob(ctx: SelectionContext, outcome_label: str) -> float:
     """|<a| P |b>|^2: first the labeled outcome, then the post-selection."""
-    outcomes = ctx.intervening.outcomes
-    return ctx.transition_weights[outcomes.index(ctx.intervening.projector(outcome_label))]
+    return ctx.transition_weights[ctx.intervening._position(outcome_label)]
 
 
 def marginal_with_Q(ctx: SelectionContext) -> float:
@@ -319,18 +318,19 @@ def product_rule_check(
     designated projectors is the zero operator.
     """
     _same_dim(pre, post, x, y)
-    for px in x.outcomes:
-        for py in y.outcomes:
-            commutator = px.matrix @ py.matrix - py.matrix @ px.matrix
+    for p in x.outcomes:
+        for q in y.outcomes:
+            commutator = p.matrix @ q.matrix - q.matrix @ p.matrix
             if np.abs(commutator).max() > NORM_TOL:
                 raise NonCommutingObservables(
-                    f"projectors {px.label!r} and {py.label!r} do not commute"
+                    f"projectors {p.label!r} and {q.label!r} do not commute"
                 )
     x_label = x.labels[0] if x_label is None else x_label
     y_label = y.labels[0] if y_label is None else y_label
+    px, py = x.projector(x_label), y.projector(y_label)
     x_prob = abl(SelectionContext(pre, post, x))[x_label]
     y_prob = abl(SelectionContext(pre, post, y))[y_label]
-    product = x.projector(x_label).matrix @ y.projector(y_label).matrix
+    product = px.matrix @ py.matrix
     product_norm = float(np.abs(product).max())
     product_is_zero = product_norm <= NORM_TOL
     violation = (

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -40,23 +42,31 @@ class ExpectedValue:
 
 @dataclass(frozen=True)
 class ScenarioBundle:
+    """A default context, the named intervening observables in table order
+    (the first is the default), and the expected values."""
+
     name: str
     context: SelectionContext
-    variants: tuple[tuple[str, Observable], ...]
+    variants: Mapping[str, Observable]
     expected: tuple[ExpectedValue, ...]
     notes: tuple[str, ...] = ()
+    _values: dict[str, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
+        object.__setattr__(self, "_values", {entry.name: entry.value for entry in self.expected})
 
     @property
     def variant_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.variants)
+        return tuple(self.variants)
 
     def variant(self, name: str) -> Observable:
-        for key, obs in self.variants:
-            if key == name:
-                return obs
-        raise ValidationError(
-            f"unknown variant {name!r}; choose from {', '.join(self.variant_names)}"
-        )
+        try:
+            return self.variants[name]
+        except KeyError:
+            raise ValidationError(
+                f"unknown variant {name!r}; choose from {', '.join(self.variants)}"
+            ) from None
 
     def context_for(self, variant_name: str) -> SelectionContext:
         return SelectionContext(
@@ -64,59 +74,44 @@ class ScenarioBundle:
         )
 
     def expected_value(self, name: str) -> float:
-        for entry in self.expected:
-            if entry.name == name:
-                return entry.value
-        raise KeyError(name)
+        return self._values[name]
+
+
+def _ket_observable(*outcomes) -> Observable:
+    """The observable with one rank-1 projector |k><k| per (label, ket)."""
+    return Observable(tuple(Projector(np.outer(k, k.conj()), label) for label, k in outcomes))
 
 
 # ---------------------------------------------------------------------------
 # three boxes
 
 
-def _three_box_pieces():
-    a = StateVector(np.array([1.0, 1.0, 1.0], dtype=complex) / math.sqrt(3.0))
-    b = StateVector(np.array([1.0, 1.0, -1.0], dtype=complex) / math.sqrt(3.0))
-    box = {
-        label: Projector(
-            np.outer(basis_state(3, i).amplitudes, basis_state(3, i).amplitudes.conj()),
-            label,
-        )
-        for i, label in enumerate(("A", "B", "C"))
-    }
-    full = Observable((box["A"], box["B"], box["C"]))
-    # coarse outcomes are exact 0/1 matrices, so the paired amplitudes
-    # 1/sqrt(3) and -1/sqrt(3) cancel exactly
-    q_a = Observable(
-        (box["A"], Projector(box["B"].matrix + box["C"].matrix, "B∪C"))
-    )
-    q_b = Observable(
-        (box["B"], Projector(box["A"].matrix + box["C"].matrix, "A∪C"))
-    )
-    return a, b, full, q_a, q_b
-
-
 def three_box() -> ScenarioBundle:
     """Spinless particle in one of three boxes, pre- and post-selected on the
     usual paradoxical pair: probing one box alone finds the particle there
     with certainty, probing all three finds it anywhere uniformly."""
-    a, b, full, q_a, q_b = _three_box_pieces()
+    a = StateVector(np.array([1.0, 1.0, 1.0], dtype=complex) / math.sqrt(3.0))
+    b = StateVector(np.array([1.0, 1.0, -1.0], dtype=complex) / math.sqrt(3.0))
+    full = _ket_observable(*zip("ABC", np.eye(3, dtype=complex)))
+    box_a, box_b, box_c = full.outcomes
+    # coarse outcomes are exact 0/1 matrices, so the paired amplitudes
+    # 1/sqrt(3) and -1/sqrt(3) cancel exactly
+    q_a = Observable((box_a, Projector(box_b.matrix + box_c.matrix, "B∪C")))
+    q_b = Observable((box_b, Projector(box_a.matrix + box_c.matrix, "A∪C")))
     third = 1.0 / 3.0
-    ninth = 1.0 / 9.0
+    uniform = "uniform over boxes when all three are probed"
     expected = (
-        ExpectedValue("fullQ:A", third, "uniform over boxes when all three are probed"),
-        ExpectedValue("fullQ:B", third, "uniform over boxes when all three are probed"),
-        ExpectedValue("fullQ:C", third, "uniform over boxes when all three are probed"),
+        *(ExpectedValue(f"fullQ:{x}", third, uniform) for x in "ABC"),
         ExpectedValue("QA:A", 1.0, "certainty in box A when only box A is probed"),
         ExpectedValue("QB:B", 1.0, "certainty in box B when only box B is probed"),
         ExpectedValue("fullQ:marginal", third, "post-selection rate with all boxes probed"),
-        ExpectedValue("QA:marginal", ninth, "post-selection rate with only box A probed"),
-        ExpectedValue("direct", ninth, "post-selection rate with nothing interposed"),
+        ExpectedValue("QA:marginal", 1.0 / 9.0, "post-selection rate with only box A probed"),
+        ExpectedValue("direct", 1.0 / 9.0, "post-selection rate with nothing interposed"),
     )
     return ScenarioBundle(
         name="three-box",
         context=SelectionContext(a, b, full),
-        variants=(("fullQ", full), ("QA", q_a), ("QB", q_b)),
+        variants={"fullQ": full, "QA": q_a, "QB": q_b},
         expected=expected,
     )
 
@@ -128,34 +123,23 @@ def three_hole(beepers=("A", "B")) -> ScenarioBundle:
     chosen = frozenset(beepers)
     if not chosen <= {"A", "B"}:
         raise ValidationError("beepers must be a subset of {'A', 'B'}")
-    a, b, full, q_a, q_b = _three_box_pieces()
-    variants = (
-        ("AB", full),
-        ("A", q_a),
-        ("B", q_b),
-        ("none", trivial_observable(3, "any")),
-    )
-    key = {
-        frozenset({"A", "B"}): "AB",
-        frozenset({"A"}): "A",
-        frozenset({"B"}): "B",
-        frozenset(): "none",
-    }[chosen]
-    third = 1.0 / 3.0
-    expected = (
-        ExpectedValue("AB:A", third, "all holes equally likely with both beepers on"),
-        ExpectedValue("AB:B", third, "all holes equally likely with both beepers on"),
-        ExpectedValue("AB:C", third, "all holes equally likely with both beepers on"),
-        ExpectedValue("A:A", 1.0, "beeper at A alone always beeps"),
-        ExpectedValue("B:B", 1.0, "beeper at B alone always beeps"),
-        ExpectedValue("none:any", 1.0, "no beepers: the trivial outcome is certain"),
-    )
-    active = dict(variants)[key]
+    box = three_box()
+    # beepers on A and B, on A alone and on B alone measure what probing all
+    # boxes, box A alone and box B alone do, so three-box's rows carry over
+    beepers_of = {"fullQ": "AB", "QA": "A", "QB": "B"}
+    variants = {key: box.variant(probe) for probe, key in beepers_of.items()}
+    variants["none"] = trivial_observable(3, "any")
+    expected = []
+    for row in box.expected:
+        probe, colon, outcome = row.name.partition(":")
+        expected.append(replace(row, name=beepers_of.get(probe, probe) + colon + outcome))
+    expected.append(ExpectedValue("none:any", 1.0, "no beepers: the trivial outcome is certain"))
+    key = "".join(sorted(chosen)) or "none"
     return ScenarioBundle(
         name="three-hole",
-        context=SelectionContext(a, b, active),
+        context=SelectionContext(box.context.pre, box.context.post, variants[key]),
         variants=variants,
-        expected=expected,
+        expected=tuple(expected),
         notes=(f"beepers: {key}",),
     )
 
@@ -208,12 +192,7 @@ def spin_half(
     c_up, c_down = _spin_kets(c_dir)
     pre = StateVector(a_up)
     post = StateVector(b_up)
-    sigma_c = Observable(
-        (
-            Projector(np.outer(c_up, c_up.conj()), "up_c"),
-            Projector(np.outer(c_down, c_down.conj()), "down_c"),
-        )
-    )
+    sigma_c = _ket_observable(("up_c", c_up), ("down_c", c_down))
 
     # independent closed form: plain complex arithmetic on the kets
     def through(k):
@@ -228,16 +207,14 @@ def spin_half(
         ExpectedValue("down_c", n_down / total, "closed-form two-time value, down along c"),
         ExpectedValue("marginal", total, "post-selection rate with the c component measured"),
     )
-    notes = []
     direct = abs(inner(pre, post)) ** 2
-    if direct <= ZERO_PROB_TOL:
-        notes.append("orthogonal_pre_post: post-selection needs the interposition")
+    notes = ("orthogonal_pre_post: post-selection needs the interposition",)
     return ScenarioBundle(
         name="spin-half",
         context=SelectionContext(pre, post, sigma_c),
-        variants=(("sigma_c", sigma_c),),
+        variants={"sigma_c": sigma_c},
         expected=expected,
-        notes=tuple(notes),
+        notes=notes if direct <= ZERO_PROB_TOL else (),
     )
 
 
@@ -262,20 +239,8 @@ def decomposition_counterexample() -> DecompositionCase:
     x-z direction measured first, the x component after. Neither observable
     shares the pre-selection or the later basis, and the dropped cross terms
     are large, so the reconstruction misses by more than a tenth."""
-    up_q, down_q = _spin_kets(DEFAULT_C_DIR)
-    plus_x, minus_x = _spin_kets((1.0, 0.0, 0.0))
-    q = Observable(
-        (
-            Projector(np.outer(up_q, up_q.conj()), "up_q"),
-            Projector(np.outer(down_q, down_q.conj()), "down_q"),
-        )
-    )
-    b_obs = Observable(
-        (
-            Projector(np.outer(plus_x, plus_x.conj()), "plus_x"),
-            Projector(np.outer(minus_x, minus_x.conj()), "minus_x"),
-        )
-    )
+    q = _ket_observable(*zip(("up_q", "down_q"), _spin_kets(DEFAULT_C_DIR)))
+    b_obs = _ket_observable(*zip(("plus_x", "minus_x"), _spin_kets((1.0, 0.0, 0.0))))
     # by hand: lhs(up_q) = cos^2(pi/8); the contributing joints are
     # cos^4(pi/8) and 1/8, the later-basis rates 3/4 and 1/4, both direct
     # probabilities 1/2
@@ -292,16 +257,12 @@ def product_rule_scenario() -> ScenarioBundle:
     """Three-box states wired for the product-rule check: probing box A alone
     and box B alone each give certainty, yet the two certain projectors
     multiply to the zero operator."""
-    a, b, _, q_a, q_b = _three_box_pieces()
-    expected = (
-        ExpectedValue("QA:A", 1.0, "certainty in box A when only box A is probed"),
-        ExpectedValue("QB:B", 1.0, "certainty in box B when only box B is probed"),
-    )
+    box = three_box()
     return ScenarioBundle(
         name="product-rule",
-        context=SelectionContext(a, b, q_a),
-        variants=(("QA", q_a), ("QB", q_b)),
-        expected=expected,
+        context=box.context_for("QA"),
+        variants={name: box.variant(name) for name in ("QA", "QB")},
+        expected=tuple(row for row in box.expected if row.name in ("QA:A", "QB:B")),
         notes=("designated outcomes: A and B; their projector product is zero",),
     )
 

@@ -10,8 +10,10 @@ import pytest
 
 import abl_engine
 from abl_engine import (
+    SCENARIOS,
     Observable,
     Projector,
+    abl,
     basis_state,
     observable_to_json,
     projector_from_span,
@@ -213,6 +215,19 @@ def test_invalid_json_is_parse_error(capsys, tmp_path, box_files):
         assert json.loads(err)["code"] == "ParseError"
 
 
+def test_invalid_input_error_names_the_file(capsys, tmp_path, box_files):
+    pre = tmp_path / "pre.json"
+    pre.write_text(json.dumps({"dim": 2, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}))
+    code, out, err = _run(
+        capsys,
+        ["abl", "--pre", str(pre), "--post", box_files["b"], "--observable", box_files["q"]],
+    )
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["code"] == "ValidationError"
+    assert error["message"].startswith(f"{pre}: state norm ")
+
+
 def test_missing_required_inputs(capsys, box_files):
     code, _, err = _run(capsys, ["abl", "--pre", box_files["a"]])
     assert code == 2
@@ -274,6 +289,18 @@ def test_csv_for_analytic_command(capsys, box_files):
     rows = {row["key"]: row["value"] for row in csv.DictReader(io.StringIO(out))}
     assert float(rows["abl.A"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert "marginal_with_Q" in rows
+
+
+@pytest.mark.parametrize(
+    "name, variant", [(name, v) for name, make in SCENARIOS.items() for v in make().variants]
+)
+def test_every_scenario_variant_through_the_cli(name, variant, capsys):
+    code, out, err = _run(capsys, ["scenario", name, "--variant", variant])
+    assert (code, err) == (0, "")
+    expected = abl(SCENARIOS[name]().context_for(variant)).as_dict()
+    assert json.loads(out)["results"]["abl"] == {
+        label: float(f"{value:.15g}") for label, value in expected.items()
+    }
 
 
 def test_run_config_direct_use(tmp_path):

@@ -105,7 +105,7 @@ def test_observable_invariants():
         Observable((p0, Projector(np.diag([0.0, 1.0]).astype(complex), "up")))  # duplicate label
     with pytest.raises(ValidationError):
         Observable((Projector(np.eye(2, dtype=complex), ""),))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionMismatch, match=r"dimensions differ: \[2, 2, 3\]"):
         Observable((p0, p1, Projector(np.zeros((3, 3)), "wider")))  # mixed dimensions
 
 

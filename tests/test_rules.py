@@ -19,6 +19,7 @@ from abl_engine import (
     Projector,
     SelectionContext,
     StateVector,
+    UnknownOutcomeLabel,
     ValidationError,
     WeightAssignment,
     ZERO_PROB_TOL,
@@ -158,8 +159,6 @@ def test_context_builds_iff_abl_succeeds(e, group_of):
 def test_sequential_prob_unknown_label():
     a, b, full, _, _ = _boxes()
     ctx = SelectionContext(a, b, full)
-    from abl_engine import UnknownOutcomeLabel
-
     with pytest.raises(UnknownOutcomeLabel):
         sequential_prob(ctx, "D")
 
@@ -624,3 +623,10 @@ def test_product_rule_label_overrides():
     assert report.x_label == "B∪C"
     assert report.x_probability == pytest.approx(0.0, abs=1e-12)
     assert not report.violation
+
+
+@pytest.mark.parametrize("labels", [{"x_label": "nope"}, {"y_label": "nope"}])
+def test_product_rule_unknown_designated_label(labels):
+    a, b, _, qa, qb = _boxes()
+    with pytest.raises(UnknownOutcomeLabel, match="no outcome labeled 'nope'"):
+        product_rule_check(a, b, qa, qb, **labels)
