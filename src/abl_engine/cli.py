@@ -22,7 +22,7 @@ from typing import Callable
 
 from . import __version__
 from .core import Observable, StateVector, observable_from_json, state_from_json
-from .ensemble import MAX_TRIALS, _checked_int, estimate_abl
+from .ensemble import MAX_SEED, MAX_TRIALS, _checked_int, estimate_abl
 from .errors import EngineError, ParseError, ValidationError
 from .rules import (
     SelectionContext,
@@ -36,37 +36,18 @@ from .rules import (
 from .scenarios import SCENARIOS
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    pre: str | None = None
-    post: str | None = None
-    observables: tuple[str, ...] = ()
-    scenario: str | None = None
-    variant: str | None = None
-    mc: bool = False
-    trials: int = 100000
-    seed: int = 0
-    output_format: str = "json"
-    out_path: str | None = None
-
-
 # ---------------------------------------------------------------------------
 # input loading
-
-
-def _read_file(path: str) -> bytes:
-    try:
-        with open(path, "rb") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _load_json(path: str, parse):
     """(parse(payload), {path, sha256}) for one input file; an EngineError
     from parse is raised again with the path before its message."""
-    raw = _read_file(path)
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         payload = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -249,77 +230,65 @@ _COMMANDS = {
 }
 
 
-def _scenario_inputs(config: RunConfig):
-    if config.scenario not in SCENARIOS:
-        raise ValidationError(
-            f"unknown scenario {config.scenario!r}; choose from {', '.join(sorted(SCENARIOS))}"
-        )
-    bundle = SCENARIOS[config.scenario]()
-    variant = config.variant if config.variant is not None else next(iter(bundle.variants))
-    meta = {"scenario": {"name": bundle.name, "variant": variant}}
-    return bundle.context.pre, bundle.context.post, (bundle.variant(variant),), meta
-
-
-def _file_inputs(command: _Command, config: RunConfig):
-    states, meta = {}, {}
-    for name in command.states:
-        states[name], meta[name] = _load_json(getattr(config, name), state_from_json)
-    loaded = [_load_json(path, observable_from_json) for path in config.observables]
-    meta["observables"] = [obs_meta for _, obs_meta in loaded]
-    observables = tuple(obs for obs, _ in loaded)
-    return states.get("pre"), states.get("post"), observables, meta
-
-
-def _load(command: _Command, config: RunConfig) -> tuple[_Inputs, dict]:
-    """Check and load a command's inputs. A scenario is checked by name, then
-    variant, then trials; files by the required options, then trials, then
-    each file in order."""
+def _load(command: _Command, args: argparse.Namespace) -> tuple[_Inputs, dict]:
+    """Check and load a command's inputs. A scenario is checked by name (in
+    the parser), then variant, then trials and seed; files by the required
+    options, then arity, then trials and seed, then each file in order."""
     if command.builtin:
-        pre, post, observables, meta = _scenario_inputs(config)
+        bundle = SCENARIOS[args.scenario]()
+        variant = args.variant if args.variant is not None else next(iter(bundle.variants))
+        pre, post, observables = bundle.context.pre, bundle.context.post, (bundle.variant(variant),)
+        meta = {"scenario": {"name": bundle.name, "variant": variant}}
     else:
         for name in command.states:
-            if getattr(config, name) is None:
-                raise ValidationError(f"{config.command} requires --{name}")
-        if len(config.observables) != command.observables:
+            if getattr(args, name) is None:
+                raise ValidationError(f"{args.command} requires --{name}")
+        if len(args.observables) != command.observables:
             raise ValidationError(
-                f"{config.command} requires exactly {command.observables} "
-                f"--observable argument(s), got {len(config.observables)}"
+                f"{args.command} requires exactly {command.observables} "
+                f"--observable argument(s), got {len(args.observables)}"
             )
-    sampled = command.sampled or (command.builtin and config.mc)
+    sampled = command.sampled or (command.builtin and args.mc)
     if sampled:
-        _checked_int("trials", config.trials, 1, MAX_TRIALS)
+        _checked_int("trials", args.trials, 1, MAX_TRIALS)
+        _checked_int("seed", args.seed, 0, MAX_SEED)
     if not command.builtin:
-        pre, post, observables, meta = _file_inputs(command, config)
-    trials, seed = (config.trials, config.seed) if sampled else (None, None)
+        states, meta = {}, {}
+        for name in command.states:
+            states[name], meta[name] = _load_json(getattr(args, name), state_from_json)
+        loaded = [_load_json(path, observable_from_json) for path in args.observables]
+        meta["observables"] = [obs_meta for _, obs_meta in loaded]
+        observables = tuple(obs for obs, _ in loaded)
+        pre, post = states.get("pre"), states.get("post")
+    trials, seed = (args.trials, args.seed) if sampled else (None, None)
     return _Inputs(pre, post, observables, trials, seed), meta
 
 
-def run(config: RunConfig) -> int:
-    command = _COMMANDS.get(config.command)
-    if command is None:
-        raise ValidationError(f"unknown command {config.command!r}")
-    if config.output_format not in ("json", "csv"):
-        raise ValidationError("format must be json or csv")
-    inputs, meta = _load(command, config)
+def run(args: argparse.Namespace) -> int:
+    command = _COMMANDS[args.command]
+    inputs, meta = _load(command, args)
     results = _round_tree(command.results(inputs))
-    if config.output_format == "csv":
+    if args.output_format == "csv":
         text = _render_csv(results, inputs.trials is not None)
     else:
         report = {
             "tool": "abl-engine",
             "version": __version__,
-            "command": config.command,
+            "command": args.command,
             "inputs": meta,
             "seed": inputs.seed,
             "trials": inputs.trials,
             "results": results,
         }
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if config.out_path is not None:
-        with open(config.out_path, "w", newline="") as handle:
-            handle.write(text)
-    else:
+    if args.out_path is None:
         sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out_path, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.out_path}: {exc.strerror or exc}") from None
     return 0
 
 
@@ -330,8 +299,8 @@ def run(config: RunConfig) -> int:
 class _Parser(argparse.ArgumentParser):
     """Raises a ValidationError (exit 2 with a {code, message} object) instead
     of printing usage; subparsers are made with the same class. An option
-    left out is left out of the namespace too, so RunConfig's fields hold
-    every default."""
+    left out is left out of the namespace too, so the top parser's
+    set_defaults hold every default."""
 
     def __init__(self, **kwargs):
         super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
@@ -346,12 +315,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Probability rules and Monte Carlo checks for pre- and "
         "post-selected quantum measurements.",
     )
+    parser.set_defaults(
+        pre=None, post=None, observables=(), scenario=None, variant=None, mc=False,
+        trials=100000, seed=0, output_format="json", out_path=None,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         if command.builtin:
             p.add_argument(
                 "scenario",
+                choices=sorted(SCENARIOS),
                 metavar="NAME",
                 help=f"one of: {', '.join(sorted(SCENARIOS))}",
             )
@@ -379,16 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv) -> RunConfig:
-    args = vars(_build_parser().parse_args(argv))
-    if "observables" in args:
-        args["observables"] = tuple(args["observables"])
-    return RunConfig(**args)
-
-
 def main(argv=None) -> int:
     try:
-        return run(_parse_args(argv))
+        return run(_build_parser().parse_args(argv))
     except EngineError as exc:
         sys.stderr.write(json.dumps({"code": exc.code, "message": str(exc)}) + "\n")
         return 2

@@ -34,6 +34,7 @@ DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four doubles
 # 2**40 trials take most of a day at about 1.6e7 trials/s on one core of a
 # 2-core x86-64 host; a larger count is refused before any work starts.
 MAX_TRIALS = 1 << 40
+MAX_SEED = 2**64 - 1  # the seed is one 64-bit word of the Philox key
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,7 @@ def trial_stream(
     Trial i owns blocks [i*B, (i+1)*B) with B = ceil((n_observables+1)/4),
     so batched draws over many trials reproduce per-trial draws exactly.
     """
-    seed = _checked_int("seed", seed, 0, 2**64 - 1)
+    seed = _checked_int("seed", seed, 0, MAX_SEED)
     stream = _checked_int("stream", stream, 0, 2**64 - 1)
     # below 2**40 each, a trial's first block stays far below the 2**256
     # blocks of the Philox counter, which would wrap onto trial 0's
@@ -331,7 +332,7 @@ def _sampling_pass(
     its post-selected trials per branch of the observable (one entry when
     there is none)."""
     trials = _checked_int("trials", trials, 1, MAX_TRIALS)
-    seed = _checked_int("seed", seed, 0, 2**64 - 1)
+    seed = _checked_int("seed", seed, 0, MAX_SEED)
     _same_dim(pre, observable, post)
     _, _, rising, accept_from = _branch_tables(pre.amplitudes, observable, post.amplitudes)
     n_observables = 0 if observable is None else 1

@@ -80,7 +80,10 @@ def test_scenario_mc_report(capsys):
 def test_unknown_scenario_is_validation_error(capsys):
     code, out, err = _run(capsys, ["scenario", "quantum-nonsense"])
     assert code == 2 and out == ""
-    assert json.loads(err)["code"] == "ValidationError"
+    error = json.loads(err)
+    assert error["code"] == "ValidationError"
+    for name in ("product-rule", "spin-half", "three-box", "three-hole"):
+        assert name in error["message"], name
 
 
 def test_unknown_variant_is_validation_error(capsys):
@@ -303,16 +306,24 @@ def test_every_scenario_variant_through_the_cli(name, variant, capsys):
     }
 
 
-def test_run_config_direct_use(tmp_path):
-    from abl_engine.cli import RunConfig, run
-
+def test_parser_refuses_unknown_command_and_format(tmp_path, capsys):
     out = tmp_path / "direct.json"
-    config = RunConfig(command="scenario", scenario="three-box", variant="QB", out_path=str(out))
-    assert run(config) == 0
+    code, stdout, err = _run(capsys, ["scenario", "three-box", "--variant", "QB", "--out", str(out)])
+    assert (code, stdout, err) == (0, "", "")
     assert json.loads(out.read_text())["results"]["abl"]["B"] == 1.0
-    for bad in (RunConfig(command="nope"), RunConfig(command="scenario", output_format="xml")):
-        with pytest.raises(abl_engine.ValidationError):
-            run(bad)
+    for argv in (["nope"], ["scenario", "three-box", "--format", "xml"]):
+        code, stdout, err = _run(capsys, argv)
+        assert (code, stdout) == (2, ""), argv
+        assert json.loads(err)["code"] == "ValidationError", argv
+
+
+def test_unwritable_out_path_is_validation_error(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "no" / "such" / "dir" / "x.json"):
+        code, out, err = _run(capsys, ["scenario", "three-box", "--out", str(path)])
+        assert (code, out) == (2, ""), path
+        error = json.loads(err)
+        assert error["code"] == "ValidationError", path
+        assert error["message"].startswith(f"cannot write {path}: "), path
 
 
 # every file command's required inputs, written out independently of the CLI
@@ -422,6 +433,20 @@ def test_trial_count_is_checked_before_any_work(capsys, box_files, monkeypatch):
             code, out, err = _run(capsys, argv)
             assert (code, out) == (2, ""), argv
             assert json.loads(err)["code"] == "ValidationError", argv
+
+
+def test_seed_is_checked_before_any_file_is_read(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    for seed in ("-1", str(ensemble.MAX_SEED + 1)):
+        for argv in (
+            ["mc", "--pre", missing, "--post", missing, "--observable", missing, "--seed", seed],
+            ["scenario", "three-box", "--mc", "--seed", seed],
+        ):
+            code, out, err = _run(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            error = json.loads(err)
+            assert error["code"] == "ValidationError", argv
+            assert error["message"].startswith("seed must be in"), argv
 
 
 def test_unreachable_pair_is_one_error_for_every_command(capsys, tmp_path):
