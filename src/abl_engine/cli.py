@@ -21,8 +21,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
-from .core import Observable, StateVector, observable_from_json, state_from_json
-from .ensemble import MAX_SEED, MAX_TRIALS, _checked_int, estimate_abl
+from .core import Observable, StateVector, _checked_int, observable_from_json, state_from_json
+from .ensemble import MAX_SEED, MAX_TRIALS, estimate_abl
 from .errors import EngineError, ParseError, ValidationError
 from .rules import (
     SelectionContext,
@@ -248,10 +248,9 @@ def _load(command: _Command, args: argparse.Namespace) -> tuple[_Inputs, dict]:
                 f"{args.command} requires exactly {command.observables} "
                 f"--observable argument(s), got {len(args.observables)}"
             )
-    sampled = command.sampled or (command.builtin and args.mc)
-    if sampled:
-        _checked_int("trials", args.trials, 1, MAX_TRIALS)
-        _checked_int("seed", args.seed, 0, MAX_SEED)
+    # every command: the parser's defaults pass, and an unused value is refused
+    _checked_int("trials", args.trials, 1, MAX_TRIALS)
+    _checked_int("seed", args.seed, 0, MAX_SEED)
     if not command.builtin:
         states, meta = {}, {}
         for name in command.states:
@@ -260,6 +259,7 @@ def _load(command: _Command, args: argparse.Namespace) -> tuple[_Inputs, dict]:
         meta["observables"] = [obs_meta for _, obs_meta in loaded]
         observables = tuple(obs for obs, _ in loaded)
         pre, post = states.get("pre"), states.get("post")
+    sampled = command.sampled or (command.builtin and args.mc)
     trials, seed = (args.trials, args.seed) if sampled else (None, None)
     return _Inputs(pre, post, observables, trials, seed), meta
 

@@ -44,8 +44,7 @@ class StateVector:
         arr = np.asarray(self.amplitudes, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValidationError("amplitudes must be a one-dimensional sequence")
-        if not 1 <= arr.size <= MAX_DIM:
-            raise ValidationError(f"state dimension must be in 1..{MAX_DIM}")
+        _checked_int("state dimension", arr.size, 1, MAX_DIM)
         if not np.isfinite(arr).all():
             raise ValidationError("amplitudes must be finite")
         norm = float(np.linalg.norm(arr))
@@ -69,8 +68,8 @@ class StateVector:
 
 def basis_state(dim: int, index: int) -> StateVector:
     """Computational basis ket |index> in the given dimension."""
-    if not 0 <= index < dim:
-        raise ValidationError("basis index out of range")
+    dim = _checked_int("dim", dim, 1, MAX_DIM)
+    index = _checked_int("index", index, 0, dim - 1)
     amps = np.zeros(dim, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps)
@@ -87,8 +86,7 @@ class Projector:
         arr = np.asarray(self.matrix, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("projector must be a square matrix")
-        if not 1 <= arr.shape[0] <= MAX_DIM:
-            raise ValidationError(f"projector dimension must be in 1..{MAX_DIM}")
+        _checked_int("projector dimension", arr.shape[0], 1, MAX_DIM)
         if not np.isfinite(arr).all():
             raise ValidationError("projector entries must be finite")
         if np.abs(arr - arr.conj().T).max() > NORM_TOL:
@@ -159,11 +157,22 @@ class Observable:
 
 def trivial_observable(dim: int, label: str = "any") -> Observable:
     """The single-outcome observable whose projector is the identity."""
+    dim = _checked_int("dim", dim, 1, MAX_DIM)
     return Observable((Projector(np.eye(dim, dtype=np.complex128), label),))
 
 
 # ---------------------------------------------------------------------------
 # operations
+
+
+def _checked_int(name: str, value, low: int, high: int) -> int:
+    """value as a Python int, if it is an integer (not a bool) in [low, high]:
+    the one check for an integer from outside."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValidationError(f"{name} must be in {low}..{high}, got {value}")
+    return int(value)
 
 
 def _same_dim(*objects) -> None:
@@ -248,16 +257,23 @@ def state_to_json(state: StateVector) -> dict:
     }
 
 
-def state_from_json(obj) -> StateVector:
+def _json_object(obj, what: str, key: str):
+    """(dim, obj[key]) of the JSON object that encodes a `what`; dim must be
+    an integer."""
     if not isinstance(obj, dict):
-        raise ParseError("state must be a JSON object")
+        raise ParseError(f"{what} must be a JSON object")
     try:
         dim = obj["dim"]
-        raw = obj["amplitudes"]
+        raw = obj[key]
     except KeyError as missing:
-        raise ParseError(f"state is missing field {missing}") from None
+        raise ParseError(f"{what} is missing field {missing}") from None
     if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ParseError("state dim must be an integer")
+        raise ParseError(f"{what} dim must be an integer")
+    return dim, raw
+
+
+def state_from_json(obj) -> StateVector:
+    dim, raw = _json_object(obj, "state", "amplitudes")
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError("state amplitudes must be a list of length dim")
     amps = [_complex_from_json(entry, "amplitude") for entry in raw]
@@ -275,15 +291,7 @@ def observable_to_json(observable: Observable) -> dict:
 
 
 def observable_from_json(obj) -> Observable:
-    if not isinstance(obj, dict):
-        raise ParseError("observable must be a JSON object")
-    try:
-        dim = obj["dim"]
-        raw = obj["outcomes"]
-    except KeyError as missing:
-        raise ParseError(f"observable is missing field {missing}") from None
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise ParseError("observable dim must be an integer")
+    dim, raw = _json_object(obj, "observable", "outcomes")
     if not isinstance(raw, list) or not raw:
         raise ParseError("observable outcomes must be a nonempty list")
     projectors = []

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Observable, StateVector, _same_dim, _snap
+from .core import Observable, StateVector, _checked_int, _same_dim, _snap
 from .errors import NoAcceptedTrials, ValidationError
 from .rules import SelectionContext, _projections, _transition_weights
 
@@ -85,15 +85,6 @@ class EnsembleStats:
 
 # ---------------------------------------------------------------------------
 # deterministic per-trial streams
-
-
-def _checked_int(name: str, value, low: int, high: int) -> int:
-    """value as a Python int, if it is an integer (not a bool) in [low, high]."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if not low <= value <= high:
-        raise ValidationError(f"{name} must be in {low}..{high}, got {value}")
-    return int(value)
 
 
 def _blocks_per_trial(n_observables: int) -> int:
@@ -248,26 +239,18 @@ TRIALS_PER_WORKER = 1 << 16
 _worker_buffers = threading.local()
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ABL_ENGINE_THREADS", "").strip()
-    if raw == "":
-        value = 0
-    else:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValidationError("ABL_ENGINE_THREADS must be an integer") from None
-    if value < 0:
-        raise ValidationError("ABL_ENGINE_THREADS must be nonnegative")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return value
-
-
 def _worker_count(trials: int) -> int:
     # more threads than cores only adds contention, and a large
     # ABL_ENGINE_THREADS must never start thousands of OS threads
-    return min(_thread_count(), os.cpu_count() or 1, -(-trials // TRIALS_PER_WORKER))
+    raw = os.environ.get("ABL_ENGINE_THREADS", "").strip() or "0"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ValidationError(f"ABL_ENGINE_THREADS must be an integer, got {raw!r}") from None
+    # a run never has more workers than trials, so MAX_TRIALS bounds it
+    threads = _checked_int("ABL_ENGINE_THREADS", threads, 0, MAX_TRIALS)
+    cpus = os.cpu_count() or 1
+    return min(threads or min(cpus, 8), cpus, -(-trials // TRIALS_PER_WORKER))
 
 
 def _range_draws(seed: int, stream: int, start: int, count: int, blocks: int):

@@ -271,5 +271,4 @@ SCENARIOS = {
     "three-box": three_box,
     "three-hole": three_hole,
     "spin-half": spin_half,
-    "product-rule": product_rule_scenario,
 }

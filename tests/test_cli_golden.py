@@ -72,7 +72,6 @@ CASES = {
     "scenario-three-box-QA": ["scenario", "three-box", "--variant", "QA"],
     "scenario-three-hole": ["scenario", "three-hole"],
     "scenario-spin-half": ["scenario", "spin-half"],
-    "scenario-product-rule": ["scenario", "product-rule", "--variant", "QB"],
     "scenario-three-box-mc-seed0": ["scenario", "three-box", "--mc", "--seed", "0"],
     "scenario-three-box-mc-seed7": ["scenario", "three-box", "--mc", "--seed", "7"],
     "scenario-three-box-mc-seed12345": ["scenario", "three-box", "--mc", "--seed", "12345"],

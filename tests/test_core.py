@@ -47,7 +47,8 @@ def test_state_vector_rejects_bad_inputs():
         StateVector(np.eye(2, dtype=complex))  # not 1-d
     with pytest.raises(ValidationError):
         StateVector(np.array([np.nan + 0j]))
-    with pytest.raises(ValidationError):
+    too_big = f"^state dimension must be in 1..{MAX_DIM}, got {MAX_DIM + 1}$"
+    with pytest.raises(ValidationError, match=too_big):
         StateVector(np.zeros(MAX_DIM + 1, dtype=complex))
 
 
@@ -66,8 +67,16 @@ def test_normalized_classmethod():
 
 def test_basis_state_bounds():
     assert basis_state(3, 2).amplitudes[2] == 1.0
-    with pytest.raises(ValidationError):
-        basis_state(3, 3)
+    for dim, index, name in (
+        (3, 3, "index"),
+        (3, 1.0, "index"),
+        (3, True, "index"),
+        (True, 0, "dim"),
+        (0, 0, "dim"),
+        (MAX_DIM + 1, 0, "dim"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            basis_state(dim, index)
 
 
 def test_projector_invariants():
@@ -113,6 +122,9 @@ def test_trivial_observable():
     obs = trivial_observable(3)
     assert obs.labels == ("any",)
     assert np.array_equal(obs.outcomes[0].matrix, np.eye(3))
+    for dim in (-1, 0, 1.5, True, MAX_DIM + 1):
+        with pytest.raises(ValidationError, match="^dim must be"):
+            trivial_observable(dim)
 
 
 def test_inner_conjugate_symmetry():

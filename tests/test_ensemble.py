@@ -490,12 +490,10 @@ def test_estimate_independent_of_thread_count():
 def test_thread_env_var_validation():
     previous = os.environ.get("ABL_ENGINE_THREADS")
     try:
-        os.environ["ABL_ENGINE_THREADS"] = "many"
-        with pytest.raises(ValidationError):
-            estimate_abl(three_box().context, 10, 0)
-        os.environ["ABL_ENGINE_THREADS"] = "-2"
-        with pytest.raises(ValidationError):
-            estimate_abl(three_box().context, 10, 0)
+        for value in ("many", "1.5", "-2", str(ensemble.MAX_TRIALS + 1)):
+            os.environ["ABL_ENGINE_THREADS"] = value
+            with pytest.raises(ValidationError, match="^ABL_ENGINE_THREADS must be"):
+                estimate_abl(three_box().context, 10, 0)
     finally:
         if previous is None:
             os.environ.pop("ABL_ENGINE_THREADS", None)
