@@ -23,10 +23,8 @@ from .core import (
     born_prob_pure,
     inner,
     observable_from_json,
-    observable_to_json,
     projector_from_span,
     state_from_json,
-    state_to_json,
     trivial_observable,
 )
 from .ensemble import (
@@ -74,10 +72,8 @@ from .scenarios import (
     ExpectedValue,
     ScenarioBundle,
     decomposition_counterexample,
-    product_rule_scenario,
     spin_half,
     three_box,
-    three_hole,
 )
 
 # everything imported above, except the submodules themselves

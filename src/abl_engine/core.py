@@ -231,11 +231,7 @@ def born_prob_pure(psi: StateVector, q: StateVector) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding: complex scalar <-> [re, im]
-
-
-def complex_to_json(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+# JSON decoding: complex scalar from [re, im]
 
 
 def _complex_from_json(obj, what: str) -> complex:
@@ -250,16 +246,9 @@ def _complex_from_json(obj, what: str) -> complex:
     return complex(float(obj[0]), float(obj[1]))
 
 
-def state_to_json(state: StateVector) -> dict:
-    return {
-        "dim": state.dim,
-        "amplitudes": [complex_to_json(z) for z in state.amplitudes],
-    }
-
-
 def _json_object(obj, what: str, key: str):
     """(dim, obj[key]) of the JSON object that encodes a `what`; dim must be
-    an integer."""
+    an integer in 1..MAX_DIM, checked before the payload is read."""
     if not isinstance(obj, dict):
         raise ParseError(f"{what} must be a JSON object")
     try:
@@ -269,7 +258,7 @@ def _json_object(obj, what: str, key: str):
         raise ParseError(f"{what} is missing field {missing}") from None
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise ParseError(f"{what} dim must be an integer")
-    return dim, raw
+    return _checked_int(f"{what} dimension", dim, 1, MAX_DIM), raw
 
 
 def state_from_json(obj) -> StateVector:
@@ -278,16 +267,6 @@ def state_from_json(obj) -> StateVector:
         raise ParseError("state amplitudes must be a list of length dim")
     amps = [_complex_from_json(entry, "amplitude") for entry in raw]
     return StateVector(np.array(amps, dtype=np.complex128))
-
-
-def observable_to_json(observable: Observable) -> dict:
-    outcomes = []
-    for p in observable.outcomes:
-        span = _range_basis(p)
-        if not span:
-            raise ValidationError(f"cannot encode rank-0 projector {p.label!r}")
-        outcomes.append({"label": p.label, "span": [state_to_json(v) for v in span]})
-    return {"dim": observable.dim, "outcomes": outcomes}
 
 
 def observable_from_json(obj) -> Observable:
@@ -309,13 +288,3 @@ def observable_from_json(obj) -> Observable:
             raise ParseError(f"outcome {label!r} span dimension differs from dim")
         projectors.append(projector_from_span(span, label))
     return Observable(tuple(projectors))
-
-
-def _range_basis(p: Projector) -> list[StateVector]:
-    """Orthonormal basis of the projector's range (eigenvectors at eigenvalue 1)."""
-    eigenvalues, eigenvectors = np.linalg.eigh(p.matrix)
-    return [
-        StateVector(eigenvectors[:, i])
-        for i in range(p.dim)
-        if eigenvalues[i] > 0.5
-    ]

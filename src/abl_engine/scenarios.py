@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,7 +23,6 @@ from .core import (
     StateVector,
     basis_state,
     inner,
-    trivial_observable,
 )
 from .errors import InvalidDirection, ValidationError
 from .rules import SelectionContext
@@ -89,7 +88,9 @@ def _ket_observable(*outcomes) -> Observable:
 def three_box() -> ScenarioBundle:
     """Spinless particle in one of three boxes, pre- and post-selected on the
     usual paradoxical pair: probing one box alone finds the particle there
-    with certainty, probing all three finds it anywhere uniformly."""
+    with certainty, probing all three finds it anywhere uniformly. Read as a
+    wall with three holes, beepers on holes A and B measure what probing all
+    boxes does, and a beeper on A alone measures what probing box A alone does."""
     a = StateVector(np.array([1.0, 1.0, 1.0], dtype=complex) / math.sqrt(3.0))
     b = StateVector(np.array([1.0, 1.0, -1.0], dtype=complex) / math.sqrt(3.0))
     full = _ket_observable(*zip("ABC", np.eye(3, dtype=complex)))
@@ -113,34 +114,6 @@ def three_box() -> ScenarioBundle:
         context=SelectionContext(a, b, full),
         variants={"fullQ": full, "QA": q_a, "QB": q_b},
         expected=expected,
-    )
-
-
-def three_hole(beepers=("A", "B")) -> ScenarioBundle:
-    """Wall with three holes and perfect beepers on a subset of {A, B}; a
-    phase plate behind C realizes the three-box post-selection. The beeper
-    configuration fixes which observable the passage measures."""
-    chosen = frozenset(beepers)
-    if not chosen <= {"A", "B"}:
-        raise ValidationError("beepers must be a subset of {'A', 'B'}")
-    box = three_box()
-    # beepers on A and B, on A alone and on B alone measure what probing all
-    # boxes, box A alone and box B alone do, so three-box's rows carry over
-    beepers_of = {"fullQ": "AB", "QA": "A", "QB": "B"}
-    variants = {key: box.variant(probe) for probe, key in beepers_of.items()}
-    variants["none"] = trivial_observable(3, "any")
-    expected = []
-    for row in box.expected:
-        probe, colon, outcome = row.name.partition(":")
-        expected.append(replace(row, name=beepers_of.get(probe, probe) + colon + outcome))
-    expected.append(ExpectedValue("none:any", 1.0, "no beepers: the trivial outcome is certain"))
-    key = "".join(sorted(chosen)) or "none"
-    return ScenarioBundle(
-        name="three-hole",
-        context=SelectionContext(box.context.pre, box.context.post, variants[key]),
-        variants=variants,
-        expected=tuple(expected),
-        notes=(f"beepers: {key}",),
     )
 
 
@@ -249,26 +222,7 @@ def decomposition_counterexample() -> DecompositionCase:
     return DecompositionCase(basis_state(2, 0), q, b_obs, residual)
 
 
-# ---------------------------------------------------------------------------
-# product rule
-
-
-def product_rule_scenario() -> ScenarioBundle:
-    """Three-box states wired for the product-rule check: probing box A alone
-    and box B alone each give certainty, yet the two certain projectors
-    multiply to the zero operator."""
-    box = three_box()
-    return ScenarioBundle(
-        name="product-rule",
-        context=box.context_for("QA"),
-        variants={name: box.variant(name) for name in ("QA", "QB")},
-        expected=tuple(row for row in box.expected if row.name in ("QA:A", "QB:B")),
-        notes=("designated outcomes: A and B; their projector product is zero",),
-    )
-
-
 SCENARIOS = {
     "three-box": three_box,
-    "three-hole": three_hole,
     "spin-half": spin_half,
 }

@@ -1,4 +1,5 @@
-"""Shared random constructors for property tests, and the Born-chain oracle.
+"""Shared random constructors for property tests, the Born-chain oracle, and
+the JSON writers for the CLI's input files.
 
 Everything is driven by an explicit numpy Generator so each test fixes its
 own seed; nothing here touches global RNG state.
@@ -32,6 +33,29 @@ def born_chain(pre: np.ndarray, projectors) -> float:
         projected = p @ w @ p
         w = projected / np.trace(projected).real
     return joint
+
+
+def state_json(state) -> dict:
+    """The input-file object of a StateVector or of a plain amplitude array:
+    `dim` and one [re, im] per amplitude."""
+    amplitudes = state.amplitudes if isinstance(state, StateVector) else np.asarray(state)
+    return {
+        "dim": int(amplitudes.size),
+        "amplitudes": [[float(z.real), float(z.imag)] for z in amplitudes],
+    }
+
+
+def observable_json(observable: Observable) -> dict:
+    """The input-file object of an observable: each outcome's label and an
+    orthonormal basis of its range, the eigenvectors of eigenvalue 1."""
+    outcomes = []
+    for p in observable.outcomes:
+        eigenvalues, eigenvectors = np.linalg.eigh(p.matrix)
+        span = [eigenvectors[:, i] for i in np.flatnonzero(eigenvalues > 0.5)]
+        if not span:
+            raise ValueError(f"cannot encode rank-0 projector {p.label!r}")
+        outcomes.append({"label": p.label, "span": [state_json(v) for v in span]})
+    return {"dim": observable.dim, "outcomes": outcomes}
 
 
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:

@@ -31,7 +31,6 @@ from abl_engine import (
     kastner,
     marginal_with_Q,
     product_rule_check,
-    product_rule_scenario,
     projector_from_span,
     spin_half,
     three_box,
@@ -204,7 +203,7 @@ def test_kastner_weights_rescale_direct_rate_but_are_unnormalized():
 
 
 def test_certain_single_probes_violate_the_product_rule():
-    bundle = product_rule_scenario()
+    bundle = three_box()
     report = product_rule_check(
         bundle.context.pre,
         bundle.context.post,

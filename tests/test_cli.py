@@ -15,13 +15,12 @@ from abl_engine import (
     Projector,
     abl,
     basis_state,
-    observable_to_json,
     projector_from_span,
-    state_to_json,
     three_box,
 )
 from abl_engine import ensemble
 from abl_engine.cli import main
+from conftest import observable_json, state_json
 
 
 @pytest.fixture
@@ -29,11 +28,11 @@ def box_files(tmp_path):
     bundle = three_box()
     paths = {}
     payloads = {
-        "a": state_to_json(bundle.context.pre),
-        "b": state_to_json(bundle.context.post),
-        "q": observable_to_json(bundle.variant("fullQ")),
-        "qa": observable_to_json(bundle.variant("QA")),
-        "qb": observable_to_json(bundle.variant("QB")),
+        "a": state_json(bundle.context.pre),
+        "b": state_json(bundle.context.post),
+        "q": observable_json(bundle.variant("fullQ")),
+        "qa": observable_json(bundle.variant("QA")),
+        "qb": observable_json(bundle.variant("QB")),
     }
     for name, payload in payloads.items():
         path = tmp_path / f"{name}.json"
@@ -82,7 +81,7 @@ def test_unknown_scenario_is_validation_error(capsys):
     assert code == 2 and out == ""
     error = json.loads(err)
     assert error["code"] == "ValidationError"
-    for name in ("spin-half", "three-box", "three-hole"):
+    for name in ("spin-half", "three-box"):
         assert name in error["message"], name
 
 
@@ -149,9 +148,9 @@ def test_decomposition_command(capsys, tmp_path, box_files):
     pa = projector_from_span([a], "mine")
     rest = Projector(np.eye(3, dtype=complex) - pa.matrix, "other")
     pre_path = tmp_path / "pre.json"
-    pre_path.write_text(json.dumps(state_to_json(a)))
+    pre_path.write_text(json.dumps(state_json(a)))
     q_path = tmp_path / "qeq.json"
-    q_path.write_text(json.dumps(observable_to_json(Observable((pa, rest)))))
+    q_path.write_text(json.dumps(observable_json(Observable((pa, rest)))))
     xbasis = Observable(
         (
             projector_from_span([abl_engine.StateVector.normalized([1, 1, 1])], "b0"),
@@ -160,7 +159,7 @@ def test_decomposition_command(capsys, tmp_path, box_files):
         )
     )
     b_path = tmp_path / "basis.json"
-    b_path.write_text(json.dumps(observable_to_json(xbasis)))
+    b_path.write_text(json.dumps(observable_json(xbasis)))
     code, out, _ = _run(
         capsys,
         ["decomposition", "--pre", str(pre_path), "--observable", str(q_path), "--observable", str(b_path)],
@@ -178,9 +177,9 @@ def test_impossible_post_selection_exit_code(capsys, tmp_path):
     pa = projector_from_span([pre], "a")
     rest = Projector(np.eye(3, dtype=complex) - pa.matrix, "rest")
     for name, payload in (
-        ("pre", state_to_json(pre)),
-        ("post", state_to_json(post)),
-        ("q", observable_to_json(Observable((pa, rest)))),
+        ("pre", state_json(pre)),
+        ("post", state_json(post)),
+        ("q", observable_json(Observable((pa, rest)))),
     ):
         (tmp_path / f"{name}.json").write_text(json.dumps(payload))
     code, out, err = _run(
@@ -353,9 +352,9 @@ def sweep_files(tmp_path, box_files):
         )
     )
     extra = {
-        "basis": observable_to_json(basis),
-        "state2": state_to_json(basis_state(2, 0)),
-        "obs2": observable_to_json(qubit),
+        "basis": observable_json(basis),
+        "state2": state_json(basis_state(2, 0)),
+        "obs2": observable_json(qubit),
     }
     files = {"pre": box_files["a"], "post": box_files["b"], **box_files}
     for name, payload in extra.items():
@@ -455,9 +454,9 @@ def test_unreachable_pair_is_one_error_for_every_command(capsys, tmp_path):
     # eight transition weights of about 5e-13 each: every one snaps to 0
     e = 2.83e-6
     payloads = {
-        "pre": state_to_json(abl_engine.StateVector.normalized([1.0] * 4 + [e] * 4)),
-        "post": state_to_json(abl_engine.StateVector.normalized([e] * 4 + [1.0] * 4)),
-        "q": observable_to_json(
+        "pre": state_json(abl_engine.StateVector.normalized([1.0] * 4 + [e] * 4)),
+        "post": state_json(abl_engine.StateVector.normalized([e] * 4 + [1.0] * 4)),
+        "q": observable_json(
             Observable(tuple(projector_from_span([basis_state(8, i)], str(i)) for i in range(8)))
         ),
     }

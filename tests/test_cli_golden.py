@@ -70,7 +70,6 @@ CASES = {
     "mc": ["mc", *_AB, "--observable", "q.json", "--trials", "20000", "--seed", "5"],
     "scenario-three-box": ["scenario", "three-box"],
     "scenario-three-box-QA": ["scenario", "three-box", "--variant", "QA"],
-    "scenario-three-hole": ["scenario", "three-hole"],
     "scenario-spin-half": ["scenario", "spin-half"],
     "scenario-three-box-mc-seed0": ["scenario", "three-box", "--mc", "--seed", "0"],
     "scenario-three-box-mc-seed7": ["scenario", "three-box", "--mc", "--seed", "7"],
@@ -130,6 +129,11 @@ def test_report_matches_golden(case, fmt, tmp_path, monkeypatch, capsys):
     out = _stdout(capsys, CASES[case] + ["--format", fmt])
     golden = (GOLDEN_DIR / f"{case}.{fmt}").read_text(encoding="utf-8")
     assert out == golden
+
+
+def test_every_golden_file_belongs_to_a_case():
+    on_disk = {path.name for path in GOLDEN_DIR.iterdir()}
+    assert on_disk == {f"{case}.{fmt}" for case in CASES for fmt in ("json", "csv")}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -24,14 +24,12 @@ from abl_engine import (
     born_prob_pure,
     inner,
     observable_from_json,
-    observable_to_json,
     projector_from_span,
     sequential_prob,
     state_from_json,
-    state_to_json,
     trivial_observable,
 )
-from conftest import born_chain, random_observable, random_state
+from conftest import born_chain, observable_json, random_observable, random_state, state_json
 
 
 def test_state_vector_accepts_unit_vectors():
@@ -258,20 +256,20 @@ def test_luders_idempotent_and_impossible():
 def test_state_json_round_trip_is_exact():
     rng = np.random.default_rng(23)
     s = random_state(rng, 5)
-    back = state_from_json(state_to_json(s))
+    back = state_from_json(state_json(s))
     assert np.array_equal(back.amplitudes, s.amplitudes)
 
 
 def test_observable_json_round_trip():
     rng = np.random.default_rng(29)
     obs = random_observable(rng, 4, n_outcomes=3)
-    back = observable_from_json(observable_to_json(obs))
+    back = observable_from_json(observable_json(obs))
     assert back.labels == obs.labels
     for p, q in zip(obs.outcomes, back.outcomes):
         assert np.abs(p.matrix - q.matrix).max() < 1e-10
     empty = Projector(np.zeros((2, 2)), "never")
-    with pytest.raises(ValidationError):
-        observable_to_json(Observable((Projector(np.eye(2), "always"), empty)))
+    with pytest.raises(ValueError, match="rank-0"):
+        observable_json(Observable((Projector(np.eye(2), "always"), empty)))
 
 
 @pytest.mark.parametrize(
@@ -316,22 +314,38 @@ def test_observable_from_json_rejects_malformed(payload):
         observable_from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "reader, payload, message",
+    [
+        (state_from_json, {"dim": 200000, "amplitudes": [[1, 0]]}, "state dimension"),
+        (state_from_json, {"dim": 0, "amplitudes": "not a list"}, "state dimension"),
+        (observable_from_json, {"dim": 65, "outcomes": []}, "observable dimension"),
+    ],
+    ids=["state-200000", "state-0", "observable-65"],
+)
+def test_json_dimension_is_checked_before_the_payload(reader, payload, message):
+    # the range check comes before any payload check, so these inputs, whose
+    # payloads are malformed too, get the range error
+    bound = f"{message} must be in 1..{MAX_DIM}, got {payload['dim']}"
+    with pytest.raises(ValidationError, match=f"^{bound}$"):
+        reader(payload)
+
+
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 59
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 55
     assert set(abl_engine.__all__) == {
         "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL", "COND_TOL",
         "StateVector", "Projector", "Observable", "basis_state",
         "trivial_observable", "inner", "projector_from_span", "born_prob_pure",
-        "state_to_json", "state_from_json", "observable_to_json",
-        "observable_from_json", "SelectionContext", "ProbabilityDistribution",
+        "state_from_json", "observable_from_json", "SelectionContext", "ProbabilityDistribution",
         "WeightAssignment", "OutcomeDecomposition", "DecompositionReport", "ProductRuleReport",
         "sequential_prob", "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",
         "decomposition_check", "interposition_inequality", "product_rule_check",
         "TrialOutcome", "EnsembleStats", "trial_stream", "run_trial", "estimate_abl",
         "estimate_interposition_effect", "ScenarioBundle", "ExpectedValue", "three_box",
-        "three_hole", "spin_half", "product_rule_scenario", "SCENARIOS", "DecompositionCase",
+        "spin_half", "SCENARIOS", "DecompositionCase",
         "decomposition_counterexample", "EngineError", "ValidationError", "ParseError",
         "DimensionMismatch", "DegenerateSpan", "UnknownOutcomeLabel",
         "ImpossiblePostSelection", "OrthogonalPrePost", "DegeneratePostObservable",

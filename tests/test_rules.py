@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -355,7 +356,79 @@ def test_kastner_matches_abl_when_q_equals_a():
         assert weights[label] == pytest.approx(dist[label], abs=1e-9)
 
 
-# decomposition
+# rational oracle: states with Gaussian-integer amplitudes and coordinate
+# projectors have exact rational values, computed here from the integers alone
+
+
+def _bra_ket(b, a, indices):
+    """|<b|P|a>|^2 as an integer, for Gaussian integers given as (re, im)
+    pairs and P the coordinate projector onto the given indices."""
+    re = sum(b[i][0] * a[i][0] + b[i][1] * a[i][1] for i in indices)
+    im = sum(b[i][0] * a[i][1] - b[i][1] * a[i][0] for i in indices)
+    return re * re + im * im
+
+
+def _norm2(a, indices):
+    """||P a||^2 as an integer, in the same terms as _bra_ket."""
+    return sum(a[i][0] ** 2 + a[i][1] ** 2 for i in indices)
+
+
+def _assert_matches(value, exact):
+    if exact == 0:
+        assert value == 0.0
+    else:
+        assert math.isclose(value, float(exact), rel_tol=1e-13), (value, exact)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_rules_match_the_rational_oracle(dim):
+    rng = np.random.default_rng(1000 + dim)
+    every = range(dim)
+    zeros = 0
+    for _ in range(600):
+        a, b = (rng.integers(-3, 4, size=(dim, 2)).tolist() for _ in "ab")
+        norm_a, norm_b = _norm2(a, every), _norm2(b, every)
+        if not norm_a or not norm_b:
+            continue
+        groups = rng.integers(0, dim, size=dim)
+        parts = [np.flatnonzero(groups == g).tolist() for g in np.unique(groups)]
+        w = [_bra_ket(b, a, part) for part in parts]  # |<b|P_q|a>|^2
+        born = [_norm2(a, part) for part in parts]  # ||P_q a||^2
+        direct = _bra_ket(b, a, every)  # |<b|a>|^2
+        pre, post = (StateVector.normalized([complex(*z) for z in v]) for v in (a, b))
+        q = Observable(
+            tuple(
+                Projector(np.diag(np.isin(every, part)).astype(complex), f"q{k}")
+                for k, part in enumerate(parts)
+            )
+        )
+        if not any(w):
+            with pytest.raises(ImpossiblePostSelection):
+                SelectionContext(pre, post, q)
+            continue
+        ctx = SelectionContext(pre, post, q)
+        # p(b|a, Q) as a Born chain: outcome q, then b from the collapsed state
+        with_q = sum(
+            Fraction(n, norm_a) * Fraction(wq, n * norm_b) for n, wq in zip(born, w) if n
+        )
+        _assert_matches(marginal_with_Q(ctx), with_q)
+        for value, wq in zip(abl(ctx).as_dict().values(), w):
+            _assert_matches(value, Fraction(wq, sum(w)))
+        zeros += w.count(0)
+        if not direct:
+            with pytest.raises(OrthogonalPrePost):
+                kastner(ctx)
+            continue
+        weights = kastner(ctx)
+        exact = [Fraction(wq, direct) for wq in w]
+        for value, kq in zip(weights.as_dict().values(), exact):
+            _assert_matches(value, kq)
+        # Kastner's weights times the direct rate give the rate with Q
+        # measured: they sum to 1 exactly when interposing Q leaves it alone
+        p_direct = Fraction(direct, norm_a * norm_b)
+        assert sum(exact) * p_direct == with_q
+        _assert_matches(weights.total() * abs(inner(pre, post)) ** 2, with_q)
+    assert zeros, "no outcome with an exact zero weight was drawn"
 
 
 def _sigma_z():

@@ -13,10 +13,8 @@ from abl_engine import (
     inner,
     marginal_with_Q,
     product_rule_check,
-    product_rule_scenario,
     spin_half,
     three_box,
-    three_hole,
 )
 
 
@@ -31,7 +29,7 @@ def _resolve(bundle, name):
     return abl(ctx)[what]
 
 
-@pytest.mark.parametrize("maker", [three_box, three_hole, product_rule_scenario, spin_half])
+@pytest.mark.parametrize("maker", [three_box, spin_half])
 def test_expected_values_reproducible_within_1e12(maker):
     bundle = maker()
     assert bundle.expected, "scenario must ship expectations"
@@ -47,7 +45,7 @@ def test_expected_values_reproducible_within_1e12(maker):
 
 def test_three_box_registry_and_variants():
     bundle = three_box()
-    assert set(SCENARIOS) == {"three-box", "three-hole", "spin-half"}
+    assert set(SCENARIOS) == {"three-box", "spin-half"}
     assert bundle.variant_names == ("fullQ", "QA", "QB")
     assert bundle.expected_value("QA:A") == 1.0
     with pytest.raises(ValidationError):
@@ -63,22 +61,6 @@ def test_three_box_values():
         assert abs(dist[label] - 1.0 / 3.0) < 1e-12
     assert abl(bundle.context_for("QA"))["A"] == 1.0
     assert abl(bundle.context_for("QB"))["B"] == 1.0
-
-
-def test_three_hole_matches_three_box_exactly():
-    holes = three_hole(("A", "B"))
-    boxes = three_box()
-    assert abl(holes.context).as_dict() == abl(boxes.context).as_dict()
-
-
-def test_three_hole_beeper_configurations():
-    assert abl(three_hole({"A"}).context)["A"] == 1.0
-    assert abl(three_hole({"B"}).context)["B"] == 1.0
-    none_bundle = three_hole(())
-    assert none_bundle.context.intervening.labels == ("any",)
-    assert abl(none_bundle.context)["any"] == 1.0
-    with pytest.raises(ValidationError):
-        three_hole({"C"})
 
 
 def test_spin_half_default_matches_closed_form():
@@ -141,7 +123,7 @@ def test_spin_half_arbitrary_axes_phase_convention():
 
 
 def test_product_rule_scenario_reports_violation():
-    bundle = product_rule_scenario()
+    bundle = three_box()
     report = product_rule_check(
         bundle.context.pre,
         bundle.context.post,
