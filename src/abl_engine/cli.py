@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import __version__
-from .core import Observable, StateVector, _checked_int, observable_from_json, state_from_json
+from .core import _checked_int, observable_from_json, state_from_json
 from .ensemble import MAX_SEED, MAX_TRIALS, estimate_abl
 from .errors import EngineError, ParseError, ValidationError
 from .rules import (
@@ -50,7 +50,7 @@ def _load_json(path: str, parse):
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
     try:
         return parse(payload), {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
@@ -62,19 +62,15 @@ def _load_json(path: str, parse):
 # output shaping
 
 
-def _r(value: float) -> float:
-    """15 significant digits; rounded once here and reused everywhere so JSON
-    and CSV cannot disagree."""
-    return float(f"{value:.15g}")
-
-
-def _round_tree(obj):
+def _fifteen_digits(obj):
+    """Every float to 15 significant digits; rounded once here and reused
+    everywhere so JSON and CSV cannot disagree."""
     if isinstance(obj, float):
-        return _r(obj)
+        return float(f"{obj:.15g}")
     if isinstance(obj, dict):
-        return {key: _round_tree(value) for key, value in obj.items()}
+        return {key: _fifteen_digits(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_round_tree(value) for value in obj]
+        return [_fifteen_digits(value) for value in obj]
     return obj
 
 
@@ -89,7 +85,7 @@ def _flatten(obj, prefix: str, rows: list) -> None:
         rows.append((prefix, obj))
 
 
-def _render_csv(results: dict, sampled: bool) -> str:
+def _csv_text(results: dict, sampled: bool) -> str:
     """Monte Carlo results as one row per outcome; anything else as flattened
     key/value rows in the results' insertion order."""
     buffer = io.StringIO()
@@ -110,26 +106,12 @@ def _render_csv(results: dict, sampled: bool) -> str:
 # commands
 
 
-@dataclass(frozen=True)
-class _Inputs:
-    """What a command computes from; trials and seed are None unless sampling."""
-
-    pre: StateVector | None
-    post: StateVector | None
-    observables: tuple[Observable, ...]
-    trials: int | None
-    seed: int | None
-
-    def context(self) -> SelectionContext:
-        return SelectionContext(self.pre, self.post, self.observables[0])
-
-
-def _two_time(inputs: _Inputs) -> dict:
-    ctx = inputs.context()
+def _two_time(pre, post, observables, trials, seed) -> dict:
+    ctx = SelectionContext(pre, post, observables[0])
     analytic = abl(ctx).as_dict()
-    if inputs.trials is None:
+    if trials is None:
         return {"abl": analytic, "marginal_with_Q": marginal_with_Q(ctx)}
-    stats = estimate_abl(ctx, inputs.trials, inputs.seed)
+    stats = estimate_abl(ctx, trials, seed)
     frequencies, std_errors = dict(stats.frequencies), dict(stats.std_errors)
     return {
         "trials": stats.trials,
@@ -147,10 +129,9 @@ def _two_time(inputs: _Inputs) -> dict:
     }
 
 
-def _kastner(inputs: _Inputs) -> dict:
-    ctx = inputs.context()
-    weights = kastner(ctx)
-    direct, with_q = interposition_inequality(ctx.pre, ctx.intervening, ctx.post)
+def _kastner(pre, post, observables, trials, seed) -> dict:
+    weights = kastner(SelectionContext(pre, post, observables[0]))
+    direct, with_q = interposition_inequality(pre, observables[0], post)
     return {
         "weights": weights.as_dict(),
         "total": weights.total(),
@@ -159,8 +140,8 @@ def _kastner(inputs: _Inputs) -> dict:
     }
 
 
-def _decomposition(inputs: _Inputs) -> dict:
-    report = decomposition_check(inputs.pre, *inputs.observables)
+def _decomposition(pre, post, observables, trials, seed) -> dict:
+    report = decomposition_check(pre, *observables)
     return {
         "which_condition": report.which_condition,
         "conditions_hold": report.conditions_hold,
@@ -169,18 +150,19 @@ def _decomposition(inputs: _Inputs) -> dict:
     }
 
 
-def _inequality(inputs: _Inputs) -> dict:
-    p_direct, p_with_q = interposition_inequality(inputs.pre, inputs.observables[0], inputs.post)
+def _inequality(pre, post, observables, trials, seed) -> dict:
+    p_direct, p_with_q = interposition_inequality(pre, observables[0], post)
     return {"p_direct": p_direct, "p_with_Q": p_with_q, "difference": p_with_q - p_direct}
 
 
-def _product_rule(inputs: _Inputs) -> dict:
-    return asdict(product_rule_check(inputs.pre, inputs.post, *inputs.observables))
+def _product_rule(pre, post, observables, trials, seed) -> dict:
+    return asdict(product_rule_check(pre, post, *observables))
 
 
 @dataclass(frozen=True)
 class _Command:
-    """One CLI command: its help, the inputs it requires, and its results.
+    """One CLI command: its help, the inputs it requires, and its results
+    from (pre, post, observables, trials, seed).
 
     `states` lists the required state options in the order they are checked;
     a `builtin` command reads a named scenario instead of files and samples
@@ -190,7 +172,7 @@ class _Command:
     help: str
     states: tuple[str, ...]
     observables: int
-    results: Callable[[_Inputs], dict]
+    results: Callable[..., dict]
     observable_help: str = "JSON file with the interposed observable"
     sampled: bool = False
     builtin: bool = False
@@ -230,10 +212,12 @@ _COMMANDS = {
 }
 
 
-def _load(command: _Command, args: argparse.Namespace) -> tuple[_Inputs, dict]:
-    """Check and load a command's inputs. A scenario is checked by name (in
-    the parser), then variant, then trials and seed; files by the required
-    options, then arity, then trials and seed, then each file in order."""
+def _load(command: _Command, args: argparse.Namespace) -> tuple:
+    """Check and load a command's (pre, post, observables, trials, seed,
+    meta); trials and seed are None unless sampling. A scenario is checked by
+    name (in the parser), then variant, then trials and seed; files by the
+    required options, then arity, then trials and seed, then each file in
+    order."""
     if command.builtin:
         bundle = SCENARIOS[args.scenario]()
         variant = args.variant if args.variant is not None else next(iter(bundle.variants))
@@ -261,23 +245,23 @@ def _load(command: _Command, args: argparse.Namespace) -> tuple[_Inputs, dict]:
         pre, post = states.get("pre"), states.get("post")
     sampled = command.sampled or (command.builtin and args.mc)
     trials, seed = (args.trials, args.seed) if sampled else (None, None)
-    return _Inputs(pre, post, observables, trials, seed), meta
+    return pre, post, observables, trials, seed, meta
 
 
 def run(args: argparse.Namespace) -> int:
     command = _COMMANDS[args.command]
-    inputs, meta = _load(command, args)
-    results = _round_tree(command.results(inputs))
+    pre, post, observables, trials, seed, meta = _load(command, args)
+    results = _fifteen_digits(command.results(pre, post, observables, trials, seed))
     if args.output_format == "csv":
-        text = _render_csv(results, inputs.trials is not None)
+        text = _csv_text(results, trials is not None)
     else:
         report = {
             "tool": "abl-engine",
             "version": __version__,
             "command": args.command,
             "inputs": meta,
-            "seed": inputs.seed,
-            "trials": inputs.trials,
+            "seed": seed,
+            "trials": trials,
             "results": results,
         }
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -365,7 +349,3 @@ def main(argv=None) -> int:
             + "\n"
         )
         return 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -243,7 +243,10 @@ def _complex_from_json(obj, what: str) -> complex:
         )
     ):
         raise ParseError(f"{what} must be a two-element [re, im] array")
-    return complex(float(obj[0]), float(obj[1]))
+    try:
+        return complex(float(obj[0]), float(obj[1]))
+    except OverflowError:
+        raise ParseError(f"{what} part is too large for a float") from None
 
 
 def _json_object(obj, what: str, key: str):
@@ -273,6 +276,9 @@ def observable_from_json(obj) -> Observable:
     dim, raw = _json_object(obj, "observable", "outcomes")
     if not isinstance(raw, list) or not raw:
         raise ParseError("observable outcomes must be a nonempty list")
+    if len(raw) > dim:
+        # every outcome has rank >= 1 and the ranks sum to dim
+        raise ValidationError(f"observable has {len(raw)} outcomes, more than its dim {dim}")
     projectors = []
     for entry in raw:
         if not isinstance(entry, dict) or "label" not in entry or "span" not in entry:

@@ -17,6 +17,7 @@ the CPU count caps it further; results depend on neither.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -61,16 +62,15 @@ class EnsembleStats:
 
     @property
     def frequencies(self) -> tuple[tuple[str, float], ...]:
-        if not self.accepted:
+        accepted = self.accepted
+        if not accepted:
             raise NoAcceptedTrials(f"no trial of {self.trials} passed post-selection")
-        labels, counts = zip(*self.counts)
-        return tuple(zip(labels, map(float, np.array(counts) / self.accepted)))
+        return tuple((label, count / accepted) for label, count in self.counts)
 
     @property
     def std_errors(self) -> tuple[tuple[str, float], ...]:
-        labels, freqs = zip(*self.frequencies)
-        freqs = np.array(freqs)
-        return tuple(zip(labels, map(float, np.sqrt(freqs * (1.0 - freqs) / self.accepted))))
+        accepted = self.accepted
+        return tuple((label, math.sqrt(f * (1.0 - f) / accepted)) for label, f in self.frequencies)
 
     @property
     def acceptance_rate(self) -> float:

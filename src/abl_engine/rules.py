@@ -47,10 +47,10 @@ def _projections(psi: np.ndarray, observable: Observable) -> tuple[np.ndarray, n
 class SelectionContext:
     """Pre-selection |a>, post-selection |b>, and the observable interposed between them.
 
-    Time parameters are ordering labels only; nothing evolves between the
-    measurements. Construction fails if the pre/post pair is unreachable
-    with the observable interposed, that is, if every transition weight
-    snaps to zero; `abl` divides by the sum of those same weights.
+    Nothing evolves between the measurements. Construction fails if the
+    pre/post pair is unreachable with the observable interposed, that is, if
+    every transition weight snaps to zero; `abl` divides by the sum of those
+    same weights.
     """
 
     pre: StateVector
@@ -67,10 +67,6 @@ class SelectionContext:
                 "pre/post pair is unreachable with this observable interposed"
             )
         object.__setattr__(self, "transition_weights", weights)
-
-    @property
-    def dim(self) -> int:
-        return self.pre.dim
 
 
 @dataclass(frozen=True)

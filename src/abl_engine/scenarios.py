@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
@@ -49,15 +49,9 @@ class ScenarioBundle:
     variants: Mapping[str, Observable]
     expected: tuple[ExpectedValue, ...]
     notes: tuple[str, ...] = ()
-    _values: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
-        object.__setattr__(self, "_values", {entry.name: entry.value for entry in self.expected})
-
-    @property
-    def variant_names(self) -> tuple[str, ...]:
-        return tuple(self.variants)
 
     def variant(self, name: str) -> Observable:
         try:
@@ -73,7 +67,7 @@ class ScenarioBundle:
         )
 
     def expected_value(self, name: str) -> float:
-        return self._values[name]
+        return {entry.name: entry.value for entry in self.expected}[name]
 
 
 def _ket_observable(*outcomes) -> Observable:

@@ -206,15 +206,20 @@ def test_missing_file_is_parse_error(capsys, box_files):
 
 def test_invalid_json_is_parse_error(capsys, tmp_path, box_files):
     bad = tmp_path / "bad.json"
-    boolean_amplitudes = json.dumps({"dim": 1, "amplitudes": [[True, False]]})
-    for text in ("{not json", boolean_amplitudes):
-        bad.write_text(text)
+    boolean_amplitudes = json.dumps({"dim": 1, "amplitudes": [[True, False]]}).encode()
+    # an amplitude too large for a float, nesting past the JSON parser's
+    # recursion limit, and a first byte that is not UTF-8
+    huge_amplitude = b'{"dim": 2, "amplitudes": [[1' + b"0" * 400 + b", 0], [0, 0]]}"
+    for raw in (b"{not json", boolean_amplitudes, huge_amplitude, b"[" * 10000, b"\x80"):
+        bad.write_bytes(raw)
         code, _, err = _run(
             capsys,
             ["abl", "--pre", str(bad), "--post", box_files["b"], "--observable", box_files["q"]],
         )
         assert code == 2
-        assert json.loads(err)["code"] == "ParseError"
+        error = json.loads(err)
+        assert error["code"] == "ParseError"
+        assert error["message"].startswith(str(bad))
 
 
 def test_invalid_input_error_names_the_file(capsys, tmp_path, box_files):
@@ -361,9 +366,16 @@ def sweep_files(tmp_path, box_files):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
         files[name] = str(path)
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    files["bad"] = str(bad)
+    unreadable = {
+        "bad": b"{not json",
+        "huge": b'{"dim": 2, "amplitudes": [[1' + b"0" * 400 + b", 0], [0, 0]]}",
+        "deep": b"[" * 10000,
+        "binary": b"\x80",
+    }
+    for name, raw in unreadable.items():
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        files[name] = str(path)
     files["missing"] = str(tmp_path / "missing.json")
     return files
 
@@ -395,12 +407,12 @@ def _failing_argvs(command, files):
     for name in state_names:
         dropped = {key: path for key, path in states.items() if key != name}
         yield _argv(command, dropped, observables), "ValidationError"
-    for replacement, code in (("missing", "ParseError"), ("bad", "ParseError")):
+    for replacement in ("missing", "bad", "huge", "deep", "binary"):
         for name in state_names:
-            yield _argv(command, {**states, name: files[replacement]}, observables), code
+            yield _argv(command, {**states, name: files[replacement]}, observables), "ParseError"
         for index in range(len(observables)):
             swapped = observables[:index] + [files[replacement]] + observables[index + 1:]
-            yield _argv(command, states, swapped), code
+            yield _argv(command, states, swapped), "ParseError"
     for name in state_names:
         yield _argv(command, {**states, name: files["state2"]}, observables), "DimensionMismatch"
     for index in range(len(observables)):

@@ -284,6 +284,7 @@ def test_observable_json_round_trip():
         {"dim": 1, "amplitudes": [[1.0]]},
         {"dim": 1, "amplitudes": [["1", "0"]]},
         {"dim": 1, "amplitudes": [[True, False]]},
+        {"dim": 1, "amplitudes": [[10**400, 0]]},
     ],
 )
 def test_state_from_json_rejects_malformed(payload):
@@ -329,6 +330,14 @@ def test_json_dimension_is_checked_before_the_payload(reader, payload, message):
     bound = f"{message} must be in 1..{MAX_DIM}, got {payload['dim']}"
     with pytest.raises(ValidationError, match=f"^{bound}$"):
         reader(payload)
+
+
+def test_more_outcomes_than_dim_are_refused_before_any_span_is_read():
+    # every outcome has rank >= 1 and the ranks sum to dim; these spans are
+    # malformed too, so a reader that parsed them first would raise ParseError
+    payload = {"dim": 2, "outcomes": [{"label": f"o{k}", "span": "x"} for k in range(20000)]}
+    with pytest.raises(ValidationError, match="^observable has 20000 outcomes, more than its dim 2$"):
+        observable_from_json(payload)
 
 
 def test_public_names_are_pinned():

@@ -372,7 +372,7 @@ def _assert_law_is_abl(ctx):
 
 
 LAW_CONTEXTS = {
-    **{f"three-box-{name}": three_box().context_for(name) for name in three_box().variant_names},
+    **{f"three-box-{name}": three_box().context_for(name) for name in tuple(three_box().variants)},
     "spin-half": spin_half().context,
     "snapped-weight": snapped_weight_context(),
     "snapped-born": snapped_born_context(),

@@ -380,37 +380,58 @@ def _assert_matches(value, exact):
         assert math.isclose(value, float(exact), rel_tol=1e-13), (value, exact)
 
 
+def _gaussian_integers(rng, dim):
+    """A vector of Gaussian integers in [-3, 3] + i[-3, 3], as (re, im) pairs."""
+    return rng.integers(-3, 4, size=(dim, 2)).tolist()
+
+
+def _ket(z):
+    return StateVector.normalized([complex(*c) for c in z])
+
+
+def _partition(rng, dim):
+    """The parts of a random partition of range(dim), as index lists."""
+    groups = rng.integers(0, dim, size=dim)
+    return [np.flatnonzero(groups == g).tolist() for g in np.unique(groups)]
+
+
+def _coordinate_observable(parts, dim, prefix):
+    return Observable(
+        tuple(
+            Projector(np.diag(np.isin(range(dim), part)).astype(complex), f"{prefix}{k}")
+            for k, part in enumerate(parts)
+        )
+    )
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_rules_match_the_rational_oracle(dim):
     rng = np.random.default_rng(1000 + dim)
     every = range(dim)
     zeros = 0
     for _ in range(600):
-        a, b = (rng.integers(-3, 4, size=(dim, 2)).tolist() for _ in "ab")
+        a, b = _gaussian_integers(rng, dim), _gaussian_integers(rng, dim)
         norm_a, norm_b = _norm2(a, every), _norm2(b, every)
         if not norm_a or not norm_b:
             continue
-        groups = rng.integers(0, dim, size=dim)
-        parts = [np.flatnonzero(groups == g).tolist() for g in np.unique(groups)]
+        parts = _partition(rng, dim)
         w = [_bra_ket(b, a, part) for part in parts]  # |<b|P_q|a>|^2
         born = [_norm2(a, part) for part in parts]  # ||P_q a||^2
         direct = _bra_ket(b, a, every)  # |<b|a>|^2
-        pre, post = (StateVector.normalized([complex(*z) for z in v]) for v in (a, b))
-        q = Observable(
-            tuple(
-                Projector(np.diag(np.isin(every, part)).astype(complex), f"q{k}")
-                for k, part in enumerate(parts)
-            )
+        pre, post = _ket(a), _ket(b)
+        q = _coordinate_observable(parts, dim, "q")
+        # p(b|a, Q) as a Born chain: outcome q, then b from the collapsed state
+        with_q = sum(
+            Fraction(n, norm_a) * Fraction(wq, n * norm_b) for n, wq in zip(born, w) if n
         )
+        p_direct = Fraction(direct, norm_a * norm_b)
+        for value, exact in zip(interposition_inequality(pre, q, post), (p_direct, with_q)):
+            _assert_matches(value, exact)
         if not any(w):
             with pytest.raises(ImpossiblePostSelection):
                 SelectionContext(pre, post, q)
             continue
         ctx = SelectionContext(pre, post, q)
-        # p(b|a, Q) as a Born chain: outcome q, then b from the collapsed state
-        with_q = sum(
-            Fraction(n, norm_a) * Fraction(wq, n * norm_b) for n, wq in zip(born, w) if n
-        )
         _assert_matches(marginal_with_Q(ctx), with_q)
         for value, wq in zip(abl(ctx).as_dict().values(), w):
             _assert_matches(value, Fraction(wq, sum(w)))
@@ -425,10 +446,93 @@ def test_rules_match_the_rational_oracle(dim):
             _assert_matches(value, kq)
         # Kastner's weights times the direct rate give the rate with Q
         # measured: they sum to 1 exactly when interposing Q leaves it alone
-        p_direct = Fraction(direct, norm_a * norm_b)
         assert sum(exact) * p_direct == with_q
         _assert_matches(weights.total() * abs(inner(pre, post)) ** 2, with_q)
     assert zeros, "no outcome with an exact zero weight was drawn"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_product_rule_matches_the_rational_oracle(dim):
+    # coordinate partitions always commute; each designated value is the
+    # first part, and the product of two coordinate projectors is the one
+    # onto the indices the parts share
+    rng = np.random.default_rng(2000 + dim)
+    every = range(dim)
+    for _ in range(80):
+        a, b = _gaussian_integers(rng, dim), _gaussian_integers(rng, dim)
+        if not _norm2(a, every) or not _norm2(b, every):
+            continue
+        x_parts, y_parts = _partition(rng, dim), _partition(rng, dim)
+        x = _coordinate_observable(x_parts, dim, "x")
+        y = _coordinate_observable(y_parts, dim, "y")
+        wx = [_bra_ket(b, a, part) for part in x_parts]
+        wy = [_bra_ket(b, a, part) for part in y_parts]
+        pre, post = _ket(a), _ket(b)
+        if not any(wx) or not any(wy):
+            with pytest.raises(ImpossiblePostSelection):
+                product_rule_check(pre, post, x, y)
+            continue
+        report = product_rule_check(pre, post, x, y)
+        x_prob, y_prob = Fraction(wx[0], sum(wx)), Fraction(wy[0], sum(wy))
+        _assert_matches(report.x_probability, x_prob)
+        _assert_matches(report.y_probability, y_prob)
+        disjoint = not set(x_parts[0]) & set(y_parts[0])
+        assert report.product_is_zero == disjoint
+        assert report.product_norm == (0.0 if disjoint else 1.0)
+        assert report.violation == (x_prob == y_prob == 1 and disjoint)
+
+
+def _sylvester_hadamard(dim):
+    """Rows of the dim x dim Sylvester-Hadamard matrix, entries +-1."""
+    rows = np.ones((1, 1), dtype=int)
+    while len(rows) < dim:
+        rows = np.block([[rows, rows], [rows, -rows]])
+    return rows.tolist()
+
+
+def test_decomposition_matches_the_rational_oracle():
+    # the post basis |b_i> = h_i / sqrt(dim) has projector entries +-1/dim,
+    # so with a coordinate-partition Q every value is an exact rational
+    rng = np.random.default_rng(3000)
+    refused = zeros = 0
+    for dim in (2, 4):
+        hadamard = _sylvester_hadamard(dim)
+        b_obs = Observable(
+            tuple(
+                Projector(np.outer(h, h).astype(complex) / dim, f"b{i}")
+                for i, h in enumerate(hadamard)
+            )
+        )
+        kets = [[(entry, 0) for entry in h] for h in hadamard]
+        every = range(dim)
+        for _ in range(250):
+            a = _gaussian_integers(rng, dim)
+            norm_a = _norm2(a, every)
+            if not norm_a:
+                continue
+            parts = _partition(rng, dim)
+            q = _coordinate_observable(parts, dim, "q")
+            # p(q_j, b_i|a), p(b_i|a, Q) and p(b_i|a), each times dim * norm_a
+            joint = [[_bra_ket(h, a, part) for part in parts] for h in kets]
+            with_q = [sum(row) for row in joint]
+            direct = [_bra_ket(h, a, every) for h in kets]
+            pre = _ket(a)
+            if not all(with_q):
+                with pytest.raises(DegeneratePostObservable):
+                    decomposition_check(pre, q, b_obs)
+                refused += 1
+                continue
+            report = decomposition_check(pre, q, b_obs)
+            for j, (row, part) in enumerate(zip(report.outcomes, parts)):
+                lhs = Fraction(_norm2(a, part), norm_a)
+                rhs = sum(
+                    Fraction(d_i, w_i) * Fraction(joint_i[j], dim * norm_a)
+                    for d_i, w_i, joint_i in zip(direct, with_q, joint)
+                )
+                _assert_matches(row.lhs, lhs)
+                _assert_matches(row.rhs, rhs)
+                zeros += (lhs == 0) + (rhs == 0)
+    assert refused and zeros, (refused, zeros)
 
 
 def _sigma_z():

@@ -46,7 +46,7 @@ def test_expected_values_reproducible_within_1e12(maker):
 def test_three_box_registry_and_variants():
     bundle = three_box()
     assert set(SCENARIOS) == {"three-box", "spin-half"}
-    assert bundle.variant_names == ("fullQ", "QA", "QB")
+    assert tuple(bundle.variants) == ("fullQ", "QA", "QB")
     assert bundle.expected_value("QA:A") == 1.0
     with pytest.raises(ValidationError):
         bundle.variant("QC")
