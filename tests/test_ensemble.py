@@ -40,13 +40,14 @@ from abl_engine import (
 from abl_engine import ensemble
 from abl_engine.core import _snap
 from abl_engine.ensemble import (
+    DRAWS_PER_BLOCK,
     SUB_BATCH_TRIALS,
     TRIALS_PER_WORKER,
     _branch_index,
     _branch_tables,
     _closed_cumulative,
-    _range_counts,
     _raw_bound,
+    _sampling_pass,
     _worker_count,
 )
 from abl_engine.rules import _transition_weights
@@ -273,6 +274,34 @@ def _draws_near(values):
     return x
 
 
+class _Words:
+    """Stands in for the Philox bit generator: random_raw(n) returns the next
+    n of the given words, starting at the first block asked for."""
+
+    def __init__(self, words, first_block):
+        self.words, self.used = words, first_block * DRAWS_PER_BLOCK
+
+    def random_raw(self, n):
+        self.used += n
+        return self.words[self.used - n : self.used].copy()
+
+
+def _count_words(monkeypatch, observable, rising, accept_from, columns):
+    """Post-selected counts of one sampling pass through the given float
+    tables, over one trial per row of draws: column c of the rows is fed to
+    column c of the trial's words as m << 11 with random nonzero low bits,
+    and every other word is random."""
+    rng = np.random.default_rng(len(columns[0]))
+    words = rng.integers(0, 2**64, (len(columns[0]), DRAWS_PER_BLOCK), dtype=np.uint64)
+    for c, x in enumerate(columns):
+        m = (x * 2**53).astype(np.uint64)
+        words[:, c] = m << np.uint64(11) | rng.integers(1, 2**11, len(m), dtype=np.uint64)
+    monkeypatch.setattr(ensemble, "_philox", lambda seed, stream, first: _Words(words.ravel(), first))
+    monkeypatch.setattr(ensemble, "_branch_tables", lambda *args: (None, None, rising, accept_from))
+    ctx = three_box().context
+    return _sampling_pass(ctx.pre, observable, ctx.post, len(words), 0, 0)()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 9, 20])
 def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     # k = 20 exceeds MAX_COMPARED_BOUNDS, so both branch searches are covered
@@ -289,24 +318,34 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     assert np.array_equal(np.broadcast_to(_branch_index(x, rising), x.shape), picked)
 
     # every (x, y) pair as one trial's draws, fed through the counting kernel
-    draws = np.zeros((len(x) * len(y), 4))
-    draws[:, 0] = np.repeat(x, len(y))
-    draws[:, 1] = np.tile(y, len(x))
     picked = np.repeat(picked, len(y))
-    accepted = 1.0 - draws[:, 1] <= thresholds[picked]
-    expected = np.bincount(picked[accepted], minlength=k)
-    monkeypatch.setattr(ensemble, "_range_draws", lambda *args: iter([draws]))
-    counts = _range_counts(0, 0, 1, rising, accept_from, 0, len(draws))
+    x, y = np.repeat(x, len(y)), np.tile(y, len(x))
+    expected = np.bincount(picked[1.0 - y <= thresholds[picked]], minlength=k)
+    counts = _count_words(monkeypatch, three_box().context.intervening, rising, accept_from, [x, y])
     assert np.array_equal(counts, expected)
 
     # no observable: no branch bounds, and column 0 decides the post-selection
     for t in [*special, *thresholds]:
         column = _draws_near([t])
-        direct = np.zeros((len(column), 4))
-        direct[:, 0] = column
-        monkeypatch.setattr(ensemble, "_range_draws", lambda *args: iter([direct]))
-        hits = _range_counts(0, 0, 0, np.empty(0), _raw_bound([t]), 0, len(column))
+        hits = _count_words(monkeypatch, None, np.empty(0), _raw_bound([t]), [column])
         assert np.array_equal(hits, [np.count_nonzero(1.0 - column <= t)])
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("first_block", [0, 2**40 + 3])
+def test_raw_words_shifted_are_the_generators_doubles(seed, stream, first_block):
+    # the estimators read m = word >> 11 where run_trial reads numpy's double
+    # m * 2**-53; a numpy that converts words to doubles otherwise fails here
+    def philox():
+        bit_gen = np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+        bit_gen.advance(first_block)
+        return bit_gen
+
+    n = 4 * 1000 + 3
+    m = philox().random_raw(n) >> np.uint64(11)
+    x = np.random.Generator(philox()).random(n)
+    assert np.array_equal(m.astype(float), x * 2**53)  # both sides exact
 
 
 class _Draws:
@@ -428,9 +467,9 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
 
 def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
     # drawing 2**16 trials' draws at once peaks near 4 MiB of draws and
-    # temporaries. The warm-up call takes the one-time costs out of the
-    # measurement: numpy's lazy random-module import and this thread's
-    # 512 KiB draw buffer.
+    # temporaries; one 512 KiB sub-batch of words and its masks peak near
+    # 0.6 MiB. The warm-up call takes numpy's lazy random-module import, a
+    # one-time cost, out of the measurement.
     monkeypatch.setenv("ABL_ENGINE_THREADS", "1")
     ctx = three_box().context
     estimate_abl(ctx, 2**10, 6)
@@ -444,10 +483,10 @@ def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
-def test_two_worker_estimate_reuses_the_calling_threads_buffer(monkeypatch):
-    # the calling thread counts worker 0's range with the draw buffer the
-    # warm-up left it, so only worker 1 makes a 512 KiB buffer; when the pool
-    # ran both workers, each made one and the peak was 1.76 MiB
+def test_two_worker_estimate_holds_one_sub_batch_per_worker(monkeypatch):
+    # each worker frees its 512 KiB sub-batch of words before it draws the
+    # next, so the two workers peak near 1.15 MiB; a worker that drew the next
+    # sub-batch while it still held the last would peak near 2.1 MiB
     monkeypatch.setenv("ABL_ENGINE_THREADS", "2")
     ctx = three_box().context
     estimate_abl(ctx, 2**20, 6)
@@ -668,7 +707,13 @@ def test_chaining_two_observables_matches_path_enumeration():
 
 
 def test_ensemble_stats_validation():
-    # the record holds counts; every other value is derived from them
+    # the record holds counts; every other value is derived from them, so
+    # counts that no sampler gives are refused before anything derives
+    with pytest.raises(ValidationError, match="^outcome counts must be non-negative"):
+        EnsembleStats(10, (("a", -1), ("b", 3)), 0)
+    with pytest.raises(ValidationError, match="^11 accepted trials exceed 10 trials"):
+        EnsembleStats(10, (("a", 7), ("b", 4)), 0)
+    assert EnsembleStats(10, (("a", 6), ("b", 4)), 0).acceptance_rate == 1.0
     stats = EnsembleStats(10, (("a", 3), ("b", 1), ("c", 0)), 1)
     assert stats.accepted == 4
     assert stats.acceptance_rate == 0.4
