@@ -139,9 +139,8 @@ def trial_stream(
 # holds exactly when x >= _raw_bound(v), and v < u exactly when
 # x < _raw_bound(v): branch picks equal searchsorted(cumulative, u, "left")
 # and acceptance equals u <= threshold. Each bound b is a multiple of 2**-53
-# in [0, 1], so x < b exactly when m < b * 2**53. run_trial compares doubles;
-# the estimators compare m, which cut a 2^22-trial three-box estimate from
-# 0.142 to 0.105 s on one thread, 0.112 to 0.090 s on two (2-core x86-64).
+# in [0, 1], so x < b exactly when m < b * 2**53. run_trial compares doubles
+# and the estimators compare m, so no word is converted to a double.
 
 
 def _closed_cumulative(probs: np.ndarray) -> np.ndarray:
@@ -181,10 +180,11 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
 def _branch_index(x, rising: np.ndarray):
     # rising holds _raw_bound of the cumulative without its closing 1.0, in
     # ascending order, as doubles or as integers on m; branch = number of
-    # bounds above x, one draw or an array of them (the scalar 0 if none).
+    # bounds above x, one draw or an array of them; compared bound by bound,
+    # the count takes one byte per draw, below 256 as MAX_COMPARED_BOUNDS is.
     if len(rising) > MAX_COMPARED_BOUNDS:
         return len(rising) - np.searchsorted(rising, x, side="right")
-    picked = 0
+    picked = np.uint8(0)
     for bound in rising:
         picked += x < bound
     return picked
@@ -215,24 +215,28 @@ def run_trial(
 # ---------------------------------------------------------------------------
 # vectorized estimators
 
-# Both estimators count with _range_counts on the tables of one
-# _branch_tables call, with one observable or none. Trial i takes its branch
-# from column 0 of its draws and its post-selection from column n, the
-# number of observables: the draws run_trial takes from trial_stream.
+# Both estimators count one pass of _range_counts over a stream in which
+# trial i owns block i (trial_stream's layout for up to three observables).
+# A pass counts filters, each on one _branch_tables call's tables: a trial's
+# branch from column 0 of its words (none without bounds) and its
+# post-selection from the filter's column. estimate_abl counts one filter on
+# stream 0, columns 0 and 1: the draws run_trial takes from trial_stream.
+# estimate_interposition_effect counts that filter on stream 1 and the direct
+# trial's post-selection on column 2.
 #
-# With at most MAX_COMPARED_BOUNDS bounds, a trial's branch is at least j
-# exactly when m < the j-th largest bound, and each branch's post-selected
-# trials are counted on these boolean masks: branch j's trials are those at
-# least j but not at least j + 1. More bounds take one binary search each.
+# With at most MAX_COMPARED_BOUNDS bounds, a trial's branch is the number of
+# bounds above its m, summed one comparison per bound into one byte per
+# trial, and each branch's post-selected trials are counted on the mask of
+# that branch. More bounds take one binary search each. numpy compares a
+# contiguous column about 3x faster than a strided one, so each filter
+# copies and shifts the columns it reads, one alive at a time.
 #
 # Worker w counts one contiguous range of trials. It regenerates the range's
-# words from one Philox positioned at the range's first block, in sub-batches:
-# trial i's draws are the first columns of row i after reshaping the flat
-# word stream by blocks-per-trial. A sub-batch continues the stream where the
-# previous one stopped and is freed before the next is drawn. Each trial's
-# draws thus depend only on its index, and the counts are integer sums of
-# per-trial decisions, so no split into workers or sub-batches changes them;
-# and a sampler call holds one sub-batch per worker, whatever its trial count.
+# words from one Philox positioned at the range's first block, in sub-batches
+# that continue the stream; each is freed before the next is drawn. Each
+# trial's draws thus depend only on its index, and the counts are integer
+# sums of per-trial decisions, so no split into workers or sub-batches changes
+# them; and a sampler call holds one sub-batch per worker, whatever its trials.
 
 # Both constants were measured at 2^22 trials on a 2-core x86-64 host with
 # numpy 2.4. A 512 KiB sub-batch of words per worker stays in a core's L2
@@ -241,7 +245,9 @@ def run_trial(
 # 1.1x faster than one at 2^12 trials per sub-batch, and 1.45x at 2^14.
 SUB_BATCH_TRIALS = 1 << 14
 # Above this many branch bounds, one binary search per draw beats one
-# comparison per bound; the two cost the same between 9 and 12 bounds.
+# comparison per bound on two workers, whose many compares contend for the
+# interpreter lock: at 2^21 trials the two tied at 9 and 10 bounds, and the
+# search won from 11. One worker compares faster up to about 24 bounds.
 MAX_COMPARED_BOUNDS = 8
 # One worker per this many trials, rounded up, because a pool thread costs
 # about half a millisecond to start: on 2 threads, 2^14 + 1 trials took
@@ -264,33 +270,31 @@ def _worker_count(trials: int) -> int:
     return min(threads or min(cpus, 8), cpus, -(-trials // TRIALS_PER_WORKER))
 
 
-def _range_counts(
-    seed: int,
-    stream: int,
-    n_observables: int,
-    rising: np.ndarray,
-    accept_from: np.ndarray,
-    start: int,
-    count: int,
-) -> np.ndarray:
-    """Post-selected trials among [start, start + count), counted per branch,
-    with rising and accept_from as integer bounds on m = word >> 11."""
-    k, blocks = len(accept_from), _blocks_per_trial(n_observables)
-    bit_gen, counts = _philox(seed, stream, start * blocks), np.zeros(k, dtype=np.int64)
+def _column(words: np.ndarray, c: int) -> np.ndarray:
+    m = words[:, c].copy()
+    return np.right_shift(m, np.uint64(11), out=m)
+
+
+def _range_counts(seed: int, stream: int, filters, start: int, count: int) -> np.ndarray:
+    """Post-selected trials among [start, start + count), counted per branch
+    of each filter (column, rising, accept_from) in turn, with rising and
+    accept_from as integer bounds on m = word >> 11."""
+    bit_gen = _philox(seed, stream, start)
+    counts = [np.zeros(len(accept_from), dtype=np.int64) for _, _, accept_from in filters]
     for done in range(0, count, SUB_BATCH_TRIALS):
         n = min(SUB_BATCH_TRIALS, count - done)
-        words = bit_gen.random_raw(n * blocks * DRAWS_PER_BLOCK).reshape(n, -1)
-        words >>= np.uint64(11)
-        first, last = words[:, 0], words[:, n_observables]
-        if len(rising) > MAX_COMPARED_BOUNDS:
-            picked = _branch_index(first, rising)
-            counts += np.bincount(picked[last >= accept_from[picked]], minlength=k)
-        else:
-            at_least = [np.True_, *(first < q for q in rising[::-1]), np.False_]
-            for j, q in enumerate(accept_from):
-                counts[j] += np.count_nonzero((last >= q) & (at_least[j] ^ at_least[j + 1]))
-        del words, first, last
-    return counts
+        words = bit_gen.random_raw(n * DRAWS_PER_BLOCK).reshape(n, DRAWS_PER_BLOCK)
+        for (column, rising, accept_from), counted in zip(filters, counts):
+            picked = _branch_index(_column(words, 0), rising) if len(rising) else 0
+            last = _column(words, column)
+            if len(rising) > MAX_COMPARED_BOUNDS:
+                counted += np.bincount(picked[last >= accept_from[picked]], minlength=len(counted))
+            else:
+                for j, q in enumerate(accept_from):
+                    counted[j] += np.count_nonzero((last >= q) & (picked == j))
+            del picked, last
+        del words
+    return np.concatenate(counts)
 
 
 def _map_ranges(fn, trials: int) -> np.ndarray:
@@ -307,31 +311,26 @@ def _map_ranges(fn, trials: int) -> np.ndarray:
 
 
 def _sampling_pass(
-    pre: StateVector,
-    observable: Observable | None,
-    post: StateVector,
-    trials: int,
-    seed: int,
-    stream: int,
-):
-    """Check the arguments and build the tables of one pass over trials
-    [0, trials) of the stream. The returned call samples the pass and gives
-    its post-selected trials per branch of the observable (one entry when
-    there is none)."""
+    pre: StateVector, post: StateVector, trials: int, seed: int, stream: int, *filters
+) -> np.ndarray:
+    """Check the arguments, build the tables of each (observable or None,
+    column) filter, then count one pass over trials [0, trials) of the
+    stream: post-selected trials per branch of each filter's observable in
+    turn (one entry for a filter with none)."""
     trials = _checked_int("trials", trials, 1, MAX_TRIALS)
     seed = _checked_int("seed", seed, 0, MAX_SEED)
-    _same_dim(pre, observable, post)
-    _, _, *bounds = _branch_tables(pre.amplitudes, observable, post.amplitudes)
-    rising, accept_from = ((b * 2.0**53).astype(np.uint64) for b in bounds)
-    n_observables = 0 if observable is None else 1
-    range_counts = partial(_range_counts, seed, stream, n_observables, rising, accept_from)
-    return partial(_map_ranges, range_counts, trials)
+    tables = []
+    for observable, column in filters:
+        _same_dim(pre, observable, post)
+        _, _, *bounds = _branch_tables(pre.amplitudes, observable, post.amplitudes)
+        tables.append((column, *((b * 2.0**53).astype(np.uint64) for b in bounds)))
+    return _map_ranges(partial(_range_counts, seed, stream, tables), trials)
 
 
 def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats:
     """Post-selected counts of the interposed outcomes and their relative
     frequencies; reproducible bit-exactly for a fixed (trials, seed)."""
-    counts = _sampling_pass(ctx.pre, ctx.intervening, ctx.post, trials, seed, 0)()
+    counts = _sampling_pass(ctx.pre, ctx.post, trials, seed, 0, (ctx.intervening, 1))
     if not counts.any():
         raise NoAcceptedTrials(
             f"no trial passed post-selection in {trials} trials; raise the trial count"
@@ -342,8 +341,8 @@ def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats
 def estimate_interposition_effect(
     pre: StateVector, q: Observable, post: StateVector, trials: int, seed: int
 ) -> tuple[float, float]:
-    """Empirical post-selection rates without (stream 0) and with (stream 1)
-    the observable interposed. Both passes are checked before either samples."""
-    without = _sampling_pass(pre, None, post, trials, seed, 0)
-    with_q = _sampling_pass(pre, q, post, trials, seed, 1)
-    return int(without().sum()) / trials, int(with_q().sum()) / trials
+    """Empirical post-selection rates without and with the observable
+    interposed, from one pass over stream 1: words 0 and 1 of trial i's block
+    decide its interposed trial, and word 2 its direct one."""
+    without, *with_q = _sampling_pass(pre, post, trials, seed, 1, (None, 2), (q, 1))
+    return int(without) / trials, int(sum(with_q)) / trials

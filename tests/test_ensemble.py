@@ -41,6 +41,7 @@ from abl_engine import ensemble
 from abl_engine.core import _snap
 from abl_engine.ensemble import (
     DRAWS_PER_BLOCK,
+    MAX_COMPARED_BOUNDS,
     SUB_BATCH_TRIALS,
     TRIALS_PER_WORKER,
     _branch_index,
@@ -249,8 +250,11 @@ def test_interposition_effect_matches_trial_loop_bit_exactly(monkeypatch):
     seed = 19
 
     def trial_counts(i):
-        without = run_trial(ctx.pre, [], ctx.post, trial_stream(seed, i, 0, stream=0))
-        with_q = run_trial(ctx.pre, [ctx.intervening], ctx.post, trial_stream(seed, i, 1, stream=1))
+        # one block of stream 1 per trial: the interposed trial takes its
+        # first two draws, and the direct trial the third
+        draws = trial_stream(seed, i, 1, stream=1)
+        with_q = run_trial(ctx.pre, [ctx.intervening], ctx.post, draws)
+        without = run_trial(ctx.pre, [], ctx.post, draws)
         return np.array([without.post_selected, with_q.post_selected], dtype=int)
 
     def estimate_counts(trials):
@@ -286,20 +290,24 @@ class _Words:
         return self.words[self.used - n : self.used].copy()
 
 
-def _count_words(monkeypatch, observable, rising, accept_from, columns):
+def _count_words(monkeypatch, filters, columns):
     """Post-selected counts of one sampling pass through the given float
-    tables, over one trial per row of draws: column c of the rows is fed to
-    column c of the trial's words as m << 11 with random nonzero low bits,
-    and every other word is random."""
-    rng = np.random.default_rng(len(columns[0]))
-    words = rng.integers(0, 2**64, (len(columns[0]), DRAWS_PER_BLOCK), dtype=np.uint64)
-    for c, x in enumerate(columns):
+    tables, one (observable, column, rising, accept_from) per filter, over
+    one trial per row of draws: columns[c] is fed to word c of the trial's
+    block as m << 11 with random nonzero low bits, and every other word is
+    random."""
+    n = len(next(iter(columns.values())))
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 2**64, (n, DRAWS_PER_BLOCK), dtype=np.uint64)
+    for c, x in columns.items():
         m = (x * 2**53).astype(np.uint64)
-        words[:, c] = m << np.uint64(11) | rng.integers(1, 2**11, len(m), dtype=np.uint64)
+        words[:, c] = m << np.uint64(11) | rng.integers(1, 2**11, n, dtype=np.uint64)
     monkeypatch.setattr(ensemble, "_philox", lambda seed, stream, first: _Words(words.ravel(), first))
-    monkeypatch.setattr(ensemble, "_branch_tables", lambda *args: (None, None, rising, accept_from))
+    tables = iter([(None, None, rising, accept_from) for _, _, rising, accept_from in filters])
+    monkeypatch.setattr(ensemble, "_branch_tables", lambda *args: next(tables))
     ctx = three_box().context
-    return _sampling_pass(ctx.pre, observable, ctx.post, len(words), 0, 0)()
+    passes = [(observable, column) for observable, column, _, _ in filters]
+    return _sampling_pass(ctx.pre, ctx.post, n, 0, 0, *passes)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9, 20])
@@ -321,14 +329,23 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     picked = np.repeat(picked, len(y))
     x, y = np.repeat(x, len(y)), np.tile(y, len(x))
     expected = np.bincount(picked[1.0 - y <= thresholds[picked]], minlength=k)
-    counts = _count_words(monkeypatch, three_box().context.intervening, rising, accept_from, [x, y])
+    observable = three_box().context.intervening
+    counts = _count_words(monkeypatch, [(observable, 1, rising, accept_from)], {0: x, 1: y})
     assert np.array_equal(counts, expected)
 
-    # no observable: no branch bounds, and column 0 decides the post-selection
+    # no observable: no branch bounds, and the filter's column alone decides
     for t in [*special, *thresholds]:
         column = _draws_near([t])
-        hits = _count_words(monkeypatch, None, np.empty(0), _raw_bound([t]), [column])
+        hits = _count_words(monkeypatch, [(None, 0, np.empty(0), _raw_bound([t]))], {0: column})
         assert np.array_equal(hits, [np.count_nonzero(1.0 - column <= t)])
+
+    # two filters on one block, as estimate_interposition_effect counts them:
+    # the observable's on words 0 and 1, a direct filter's on word 2
+    t = thresholds[0]
+    z = np.resize(_draws_near([t]), len(x))
+    filters = [(None, 2, np.empty(0), _raw_bound([t])), (observable, 1, rising, accept_from)]
+    counts = _count_words(monkeypatch, filters, {0: x, 1: y, 2: z})
+    assert np.array_equal(counts, [np.count_nonzero(1.0 - z <= t), *expected])
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
@@ -482,17 +499,38 @@ def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
     assert peak < 2**20
 
 
+def _widest_mask_context():
+    # MAX_COMPARED_BOUNDS + 1 outcomes: the most branch bounds that the
+    # kernel still compares one by one, so the longest list of masks
+    rng, k = np.random.default_rng(8), MAX_COMPARED_BOUNDS + 1
+    pre, post = random_state(rng, k), random_state(rng, k)
+    return SelectionContext(pre, post, random_observable(rng, k, k))
+
+
+def _interposition_pass(ctx, trials, seed):
+    return estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, seed)
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers")
-def test_two_worker_estimate_holds_one_sub_batch_per_worker(monkeypatch):
+@pytest.mark.parametrize(
+    "estimate, ctx",
+    [
+        (estimate_abl, three_box().context),
+        (estimate_abl, _widest_mask_context()),
+        (_interposition_pass, three_box().context),
+    ],
+    ids=["three-box", "widest-masks", "interposition"],
+)
+def test_two_worker_estimate_holds_one_sub_batch_per_worker(estimate, ctx, monkeypatch):
     # each worker frees its 512 KiB sub-batch of words before it draws the
-    # next, so the two workers peak near 1.15 MiB; a worker that drew the next
-    # sub-batch while it still held the last would peak near 2.1 MiB
+    # next, and each column copy before it copies the next, so two workers
+    # peak under 1.5 MiB; a worker that drew the next sub-batch while it still
+    # held the last would peak near 2.1 MiB
     monkeypatch.setenv("ABL_ENGINE_THREADS", "2")
-    ctx = three_box().context
-    estimate_abl(ctx, 2**20, 6)
+    estimate(ctx, 2**20, 6)
     tracemalloc.start()
     try:
-        estimate_abl(ctx, 2**20, 6)
+        estimate(ctx, 2**20, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -602,7 +640,7 @@ def test_trial_count_is_checked_before_any_work(monkeypatch):
             estimate_abl(ctx, trials, 0)
         with pytest.raises(ValidationError):
             estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, 0)
-    # the interposed pass's tables are checked before the direct pass samples
+    # the interposed filter's tables are checked before the pass samples
     with pytest.raises(DimensionMismatch):
         estimate_interposition_effect(
             ctx.pre, spin_half().context.intervening, ctx.post, 2**22, 1
@@ -659,6 +697,55 @@ def test_interposition_effect_matches_analytic_random_instance():
     p_with = marginal_with_Q(ctx)
     assert abs(rate_without - p_direct) < 5 * math.sqrt(p_direct * (1 - p_direct) / 300000)
     assert abs(rate_with - p_with) < 5 * math.sqrt(p_with * (1 - p_with) / 300000)
+
+
+CALIBRATION_SEEDS = 400
+CALIBRATION_TRIALS = 2**14
+
+
+def _ks_distance_to_normal(z):
+    # Kolmogorov-Smirnov distance between the sample's empirical CDF and the
+    # N(0, 1) CDF, checked on both sides of each step
+    z = np.sort(z)
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+    n = len(z)
+    return max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+
+
+def _binomial_z(hits, n, p):
+    return (hits - n * p) / np.sqrt(n * p * (1.0 - p))
+
+
+def test_stream_calibration_over_many_seeds():
+    # Each seed's z-scores should follow N(0, 1): counts that are right on
+    # average but too regular, too spread or skewed from seed to seed would
+    # move the whole sample (the TestU01 idea of testing the stream, not just
+    # its mean). At 2^14 trials a binomial z moves in lattice steps of about
+    # 0.02, which shifts the distance by under 0.01; the bound below is the
+    # Kolmogorov law's 0.001 quantile, 1.95 / sqrt(N).
+    ctx = three_box().context
+    p_a = abl(ctx)["A"]
+    p_with, p_direct = marginal_with_Q(ctx), abs(inner(ctx.pre, ctx.post)) ** 2
+    seeds = np.random.default_rng(2007).integers(0, 2**64, CALIBRATION_SEEDS, dtype=np.uint64)
+    z_abl, z_accepted, z_with, z_direct = [], [], [], []
+    for seed in map(int, seeds):
+        stats = estimate_abl(ctx, CALIBRATION_TRIALS, seed)
+        z_abl.append(_binomial_z(stats.counts[0][1], stats.accepted, p_a))
+        z_accepted.append(_binomial_z(stats.accepted, CALIBRATION_TRIALS, p_with))
+        direct, with_q = estimate_interposition_effect(
+            ctx.pre, ctx.intervening, ctx.post, CALIBRATION_TRIALS, seed
+        )
+        z_direct.append(_binomial_z(direct * CALIBRATION_TRIALS, CALIBRATION_TRIALS, p_direct))
+        z_with.append(_binomial_z(with_q * CALIBRATION_TRIALS, CALIBRATION_TRIALS, p_with))
+    bound = 1.95 / math.sqrt(CALIBRATION_SEEDS)
+    for name, z in (("abl", z_abl), ("with Q", z_with), ("direct", z_direct)):
+        assert _ks_distance_to_normal(z) < bound, name
+    # The direct and the interposed trial share each block, and the abl pass
+    # runs the same trial indices on stream 0: with independent words,
+    # sqrt(N) times a correlation of the z-scores is N(0, 1); 3.3 is its
+    # two-sided 0.001 quantile
+    for pair in ((z_direct, z_with), (z_accepted, z_with)):
+        assert abs(np.corrcoef(pair)[0, 1]) * math.sqrt(CALIBRATION_SEEDS) < 3.3
 
 
 def test_chaining_two_observables_matches_path_enumeration():
