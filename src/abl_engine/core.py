@@ -10,7 +10,7 @@ so no propagator exists here.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +111,6 @@ class Observable:
     """Ordered, labeled, orthogonal, complete family of projectors."""
 
     outcomes: tuple[Projector, ...]
-    _positions: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         outcomes = tuple(self.outcomes)
@@ -122,8 +121,7 @@ class Observable:
         labels = [p.label for p in outcomes]
         if any(not lbl for lbl in labels):
             raise ValidationError("outcome labels must be nonempty")
-        positions = {label: j for j, label in enumerate(labels)}
-        if len(positions) != len(labels):
+        if len(set(labels)) != len(labels):
             raise ValidationError("outcome labels must be unique")
         for j in range(len(outcomes)):
             for k in range(j + 1, len(outcomes)):
@@ -135,7 +133,6 @@ class Observable:
         if np.abs(total - np.eye(dim)).max() > NORM_TOL:
             raise ValidationError("outcome projectors must sum to the identity")
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "_positions", positions)
 
     @property
     def dim(self) -> int:
@@ -147,8 +144,8 @@ class Observable:
 
     def _position(self, label: str) -> int:
         try:
-            return self._positions[label]
-        except KeyError:
+            return self.labels.index(label)
+        except ValueError:
             raise UnknownOutcomeLabel(f"no outcome labeled {label!r}") from None
 
     def projector(self, label: str) -> Projector:

@@ -9,7 +9,7 @@ vectorized estimators take their tables from one builder and compare each
 draw against the same exact bounds, so they agree by construction.
 
 Randomness comes from a counter-based generator (Philox) keyed by
-(seed, stream) with a fixed counter block range per trial, so trials are
+(seed, stream) with one counter block per trial, so trials are
 independent, reproducible bit-exactly, and parallelizable without shared
 state. `ABL_ENGINE_THREADS` caps the worker count (0 or unset = auto), and
 the CPU count caps it further; results depend on neither.
@@ -92,11 +92,6 @@ class EnsembleStats:
 # deterministic per-trial streams
 
 
-def _blocks_per_trial(n_observables: int) -> int:
-    # one draw per interposed observable plus one for the final filter
-    return (n_observables + 1 + DRAWS_PER_BLOCK - 1) // DRAWS_PER_BLOCK
-
-
 def _philox(seed: int, stream: int, first_block: int) -> np.random.Philox:
     # an explicit uint64 key: a list of Python ints would pass seeds of 2**63
     # and above through float64, so neighbouring seeds would share a stream
@@ -108,19 +103,19 @@ def _philox(seed: int, stream: int, first_block: int) -> np.random.Philox:
 def trial_stream(
     seed: int, trial_index: int, n_observables: int = 1, stream: int = 0
 ) -> np.random.Generator:
-    """Generator positioned at the counter block range owned by one trial.
+    """Generator positioned at the one counter block that a trial owns.
 
-    Trial i owns blocks [i*B, (i+1)*B) with B = ceil((n_observables+1)/4),
-    so batched draws over many trials reproduce per-trial draws exactly.
+    Trial i owns block i: its four draws serve up to DRAWS_PER_BLOCK - 1
+    interposed observables and the final filter, so batched draws over many
+    trials reproduce per-trial draws exactly.
     """
     seed = _checked_int("seed", seed, 0, MAX_SEED)
     stream = _checked_int("stream", stream, 0, 2**64 - 1)
-    # below 2**40 each, a trial's first block stays far below the 2**256
-    # blocks of the Philox counter, which would wrap onto trial 0's
+    # below 2**40, a trial's block stays far below the 2**256 blocks of the
+    # Philox counter, which would wrap onto trial 0's
     trial_index = _checked_int("trial_index", trial_index, 0, MAX_TRIALS - 1)
-    n_observables = _checked_int("n_observables", n_observables, 0, MAX_TRIALS - 1)
-    first_block = trial_index * _blocks_per_trial(n_observables)
-    return np.random.Generator(_philox(seed, stream, first_block))
+    _checked_int("n_observables", n_observables, 0, DRAWS_PER_BLOCK - 1)
+    return np.random.Generator(_philox(seed, stream, trial_index))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +175,8 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
 def _branch_index(x, rising: np.ndarray):
     # rising holds _raw_bound of the cumulative without its closing 1.0, in
     # ascending order, as doubles or as integers on m; branch = number of
-    # bounds above x, one draw or an array of them; compared bound by bound,
-    # the count takes one byte per draw, below 256 as MAX_COMPARED_BOUNDS is.
-    if len(rising) > MAX_COMPARED_BOUNDS:
-        return len(rising) - np.searchsorted(rising, x, side="right")
+    # bounds above x, one draw or an array of them, compared bound by bound
+    # into one byte per draw: MAX_DIM = 64 outcomes give at most 63 bounds
     picked = np.uint8(0)
     for bound in rising:
         picked += x < bound
@@ -216,20 +209,24 @@ def run_trial(
 # vectorized estimators
 
 # Both estimators count one pass of _range_counts over a stream in which
-# trial i owns block i (trial_stream's layout for up to three observables).
-# A pass counts filters, each on one _branch_tables call's tables: a trial's
-# branch from column 0 of its words (none without bounds) and its
-# post-selection from the filter's column. estimate_abl counts one filter on
-# stream 0, columns 0 and 1: the draws run_trial takes from trial_stream.
-# estimate_interposition_effect counts that filter on stream 1 and the direct
-# trial's post-selection on column 2.
+# trial i owns block i, as in trial_stream. A pass counts filters, each on
+# one _branch_tables call's tables: a trial's branch from column 0 of its
+# words (none without bounds) and its post-selection from the filter's
+# column. estimate_abl counts one filter on stream 0, columns 0 and 1: the
+# draws run_trial takes from trial_stream. estimate_interposition_effect
+# counts that filter on stream 1 and the direct trial's post-selection on
+# column 2.
 #
 # With at most MAX_COMPARED_BOUNDS bounds, a trial's branch is the number of
 # bounds above its m, summed one comparison per bound into one byte per
 # trial, and each branch's post-selected trials are counted on the mask of
-# that branch. More bounds take one binary search each. numpy compares a
-# contiguous column about 3x faster than a strided one, so each filter
-# copies and shifts the columns it reads, one alive at a time.
+# that branch. More bounds take one binary search each, over half a
+# sub-batch at a time: beside the words, a search holds two column copies,
+# the int64 branches and the bounds gathered for them, and over a whole
+# sub-batch two workers peaked near 1.8 MiB under tracemalloc, against
+# 1.4 MiB over halves, as on the mask path. numpy compares a contiguous
+# column about 3x faster than a strided one, so each filter copies and
+# shifts the columns it reads.
 #
 # Worker w counts one contiguous range of trials. It regenerates the range's
 # words from one Philox positioned at the range's first block, in sub-batches
@@ -285,14 +282,19 @@ def _range_counts(seed: int, stream: int, filters, start: int, count: int) -> np
         n = min(SUB_BATCH_TRIALS, count - done)
         words = bit_gen.random_raw(n * DRAWS_PER_BLOCK).reshape(n, DRAWS_PER_BLOCK)
         for (column, rising, accept_from), counted in zip(filters, counts):
-            picked = _branch_index(_column(words, 0), rising) if len(rising) else 0
-            last = _column(words, column)
             if len(rising) > MAX_COMPARED_BOUNDS:
-                counted += np.bincount(picked[last >= accept_from[picked]], minlength=len(counted))
+                for half in (slice(0, n // 2), slice(n // 2, n)):
+                    picked = np.searchsorted(rising, _column(words[half], 0), side="right")
+                    np.subtract(len(rising), picked, out=picked)
+                    hit = _column(words[half], column) >= accept_from[picked]
+                    counted += np.bincount(picked[hit], minlength=len(counted))
+                del picked, hit
             else:
+                picked = _branch_index(_column(words, 0), rising) if len(rising) else 0
+                last = _column(words, column)
                 for j, q in enumerate(accept_from):
                     counted[j] += np.count_nonzero((last >= q) & (picked == j))
-            del picked, last
+                del picked, last
         del words
     return np.concatenate(counts)
 

@@ -41,7 +41,7 @@ class ImpossiblePostSelection(EngineError):
 
 
 class OrthogonalPrePost(EngineError):
-    """Pre- and post-selection states are orthogonal; the Kastner denominator vanishes."""
+    """The direct weight |<a|b>|^2 snaps to 0; the Kastner denominator vanishes."""
 
 
 class DegeneratePostObservable(EngineError):

@@ -74,13 +74,10 @@ class _LabeledValues:
     """Values under unique labels; each subclass checks the values."""
 
     entries: tuple[tuple[str, float], ...]
-    _values: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        values = dict(self.entries)
-        if len(values) != len(self.entries):
+        if len(set(self.labels)) != len(self.entries):
             raise ValidationError(f"{type(self).__name__} labels must be unique")
-        object.__setattr__(self, "_values", values)
         self._check_values()
 
     @property
@@ -88,10 +85,10 @@ class _LabeledValues:
         return tuple(label for label, _ in self.entries)
 
     def __getitem__(self, label: str) -> float:
-        return self._values[label]
+        return self.as_dict()[label]
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self._values)
+        return dict(self.entries)
 
 
 class ProbabilityDistribution(_LabeledValues):
@@ -212,7 +209,9 @@ def kastner(ctx: SelectionContext) -> WeightAssignment:
     """
     (denominator,) = _transition_weights(ctx.pre.amplitudes, None, ctx.post.amplitudes)
     if denominator == 0.0:
-        raise OrthogonalPrePost("pre and post states are orthogonal; rule undefined")
+        raise OrthogonalPrePost(
+            "the direct weight |<a|b>|^2 snapped to 0 (at or below 1e-12); rule undefined"
+        )
     return WeightAssignment(
         tuple(
             (label, value / denominator)
@@ -288,8 +287,8 @@ def interposition_inequality(
     """(p_direct, p_with_Q): post-selection probability without and with the observable.
 
     p_direct = |<a|b>|^2 and p_with_Q = sum_j |<a|P_j|b>|^2, from the snapped
-    transition weights. Both are returned for comparison; p_with_Q is
-    positive whenever p_direct is, but neither dominates the other in general.
+    transition weights. Neither dominates the other in general, and as each
+    weight snaps on its own, p_with_Q can be 0 while p_direct is not.
     """
     _same_dim(pre, q, post)
     (p_direct,) = _transition_weights(pre.amplitudes, None, post.amplitudes)

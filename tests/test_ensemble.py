@@ -1,5 +1,6 @@
 """Monte Carlo verifier: determinism, loop/vector equivalence, statistics."""
 
+import itertools
 import math
 import os
 import tracemalloc
@@ -25,10 +26,12 @@ from abl_engine import (
     basis_state,
     born_prob_pure,
     decomposition_check,
+    decomposition_counterexample,
     estimate_abl,
     estimate_interposition_effect,
     inner,
     interposition_inequality,
+    kastner,
     marginal_with_Q,
     projector_from_span,
     run_trial,
@@ -101,6 +104,7 @@ def test_seed_validation():
         {"trial_index": 1.5},
         {"trial_index": 2**256},  # the counter would wrap onto trial 0's blocks
         {"n_observables": 2**260},
+        {"n_observables": DRAWS_PER_BLOCK},  # a trial owns one block of four draws
         {"stream": -1},
         {"stream": 2**64},
         {"stream": True},
@@ -108,6 +112,10 @@ def test_seed_validation():
         with pytest.raises(ValidationError):
             trial_stream(**{"seed": 0, "trial_index": 3, **kwargs})
     assert trial_stream(0, 0, stream=2**64 - 1).random() != trial_stream(0, 0).random()
+    # trial i owns block i whatever the number of observables
+    block = trial_stream(0, 3).random(DRAWS_PER_BLOCK)
+    for n in range(DRAWS_PER_BLOCK):
+        assert np.array_equal(trial_stream(0, 3, n).random(DRAWS_PER_BLOCK), block)
 
 
 def test_closed_cumulative_snaps_and_closes():
@@ -312,7 +320,8 @@ def _count_words(monkeypatch, filters, columns):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9, 20])
 def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
-    # k = 20 exceeds MAX_COMPARED_BOUNDS, so both branch searches are covered
+    # k = 20 exceeds MAX_COMPARED_BOUNDS, so the counting kernel's binary
+    # search is covered beside the compare loop that run_trial shares
     rng = np.random.default_rng(k)
     probs = rng.random(k) * (rng.random(k) < 0.8)
     probs[rng.integers(k)] = 1.0
@@ -401,30 +410,66 @@ def test_run_trial_reproduces_searchsorted_on_u(ctx):
 # |law_k - abl_k * sum(law)| in units of 2**-53: the branch's two bounds and
 # its acceptance bound each lose less than one unit to their floors, plus the
 # rounding of the cumulative sum. Dividing by sum(law), the acceptance rate,
-# scales the same bound up for law_k / sum(law).
+# scales the same bound up for law_k / sum(law). A path through two
+# observables multiplies two branch widths, each below 1, and its
+# acceptance; over 300 random contexts at d = 2..16 the worst path was off
+# by 1.2 units.
 LAW_ULPS = 4
 
 
-def _exact_law(ctx):
-    _, _, rising, accept_from = _branch_tables(
-        ctx.pre.amplitudes, ctx.intervening, ctx.post.amplitudes
-    )
-    rising = [Fraction(b) for b in rising]
-    accept_from = [Fraction(b) for b in accept_from]
-    assert all((b * 2**53).denominator == 1 for b in rising + accept_from)
-    # the branch is the number of rising bounds above x, so branch j owns
-    # [edges[k - 1 - j], edges[k - j]); acceptance needs x >= its bound
-    edges = [Fraction(0), *rising, Fraction(1)]
-    k = len(accept_from)
-    return [(edges[k - j] - edges[k - 1 - j]) * (1 - a) for j, a in enumerate(accept_from)]
+def _exact_law(pre, observables, post):
+    """{path: the chance that run_trial takes this path of branches and
+    passes the post-selection}, for amplitude arrays pre and post, by
+    run_trial's walk: the product of each branch's width between its rising
+    bounds, from the normalized projected state the path has reached, times
+    the last branch's acceptance. Paths through a branch never drawn are left
+    out."""
+    law = {}
+
+    def walk(psi, path, taken):
+        projected, probs, rising, accept_from = _branch_tables(psi, observables[len(path)], post)
+        rising = [Fraction(b) for b in rising]
+        accept_from = [Fraction(b) for b in accept_from]
+        assert all((b * 2**53).denominator == 1 for b in rising + accept_from)
+        # the branch is the number of rising bounds above x, so branch j owns
+        # [edges[k - 1 - j], edges[k - j]); acceptance needs x >= its bound
+        edges = [Fraction(0), *rising, Fraction(1)]
+        k = len(accept_from)
+        for j, a in enumerate(accept_from):
+            width = taken * (edges[k - j] - edges[k - 1 - j])
+            if len(path) + 1 == len(observables):
+                law[path + (j,)] = width * (1 - a)
+            elif width:
+                walk(projected[j] / np.sqrt(probs[j]), path + (j,), width)
+
+    walk(pre, (), Fraction(1))
+    return law
 
 
-def _assert_law_is_abl(ctx):
-    law = _exact_law(ctx)
-    total = sum(law)
-    for weight, (label, value) in zip(law, abl(ctx).entries):
-        assert (weight == 0) == (value == 0.0), label
-        assert abs(weight / total - Fraction(value)) <= LAW_ULPS * Fraction(1, 2**53) / total, label
+def _assert_law_is_abl(ctx, *later):
+    """run_trial's exact law through ctx's observable, then each later one,
+    normalized over the paths, is the ABL distribution of ctx for one
+    observable, and for more the path weights |<b|P_kn ... P_k1|a>|^2 of
+    path enumeration, normalized."""
+    observables = [ctx.intervening, *later]
+    law = _exact_law(ctx.pre.amplitudes, observables, ctx.post.amplitudes)
+    expected = {(j,): value for j, (_, value) in enumerate(abl(ctx).entries)}
+    if later:
+        weights = {}
+        for path in itertools.product(*(range(len(obs.outcomes)) for obs in observables)):
+            v = ctx.pre.amplitudes
+            for obs, j in zip(observables, path):
+                v = obs.outcomes[j].matrix @ v
+            weights[path] = abs(np.vdot(ctx.post.amplitudes, v)) ** 2
+        expected = {path: w / sum(weights.values()) for path, w in weights.items()}
+    total = sum(law.values())
+    for path, value in expected.items():
+        weight = law.get(path, 0)
+        if value == 0.0 or not later:
+            # a path the oracle rules out is never counted; for one observable
+            # the snapped ABL zeros are exactly the paths never counted
+            assert (weight == 0) == (value == 0.0), path
+        assert abs(weight / total - Fraction(value)) <= LAW_ULPS * Fraction(1, 2**53) / total, path
 
 
 LAW_CONTEXTS = {
@@ -438,6 +483,36 @@ LAW_CONTEXTS = {
 @pytest.mark.parametrize("name", LAW_CONTEXTS)
 def test_sampler_law_is_abl(name):
     _assert_law_is_abl(LAW_CONTEXTS[name])
+
+
+def _spin_bases():
+    """sigma_x and sigma_z of d = 2 as labeled observables."""
+    sx = Observable(
+        tuple(projector_from_span([StateVector.normalized([1.0, s])], f"x{s:+d}") for s in (1, -1))
+    )
+    return sx, Observable(tuple(projector_from_span([basis_state(2, i)], f"z{i}") for i in range(2)))
+
+
+SX, SZ = _spin_bases()
+TWO_STEP_LAWS = {
+    # the chaining test's history: +z, sigma_x, sigma_z, then +x
+    "chaining": (SelectionContext(basis_state(2, 0), StateVector.normalized([1.0, 1.0]), SX), SZ),
+    "three-box-QA-QB": (three_box().context_for("QA"), three_box().variants["QB"]),
+    "three-box-fullQ-QA": (three_box().context, three_box().variants["QA"]),
+    "snapped-weight-sigma-x": (snapped_weight_context(), SX),
+}
+
+
+@pytest.mark.parametrize("name", TWO_STEP_LAWS)
+def test_sampler_law_for_two_observables_is_path_enumeration(name):
+    _assert_law_is_abl(*TWO_STEP_LAWS[name])
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 8))
+def test_sampler_law_for_two_observables_on_random_contexts(seed, dim):
+    rng = np.random.default_rng(seed)
+    _assert_law_is_abl(random_context(rng, dim), random_observable(rng, dim))
 
 
 @pytest.mark.parametrize("name", ["snapped-weight", "snapped-born"])
@@ -499,10 +574,9 @@ def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
     assert peak < 2**20
 
 
-def _widest_mask_context():
-    # MAX_COMPARED_BOUNDS + 1 outcomes: the most branch bounds that the
-    # kernel still compares one by one, so the longest list of masks
-    rng, k = np.random.default_rng(8), MAX_COMPARED_BOUNDS + 1
+def _square_context(k, seed):
+    # k outcomes of rank 1 in dimension k, so k - 1 branch bounds
+    rng = np.random.default_rng(seed)
     pre, post = random_state(rng, k), random_state(rng, k)
     return SelectionContext(pre, post, random_observable(rng, k, k))
 
@@ -516,16 +590,21 @@ def _interposition_pass(ctx, trials, seed):
     "estimate, ctx",
     [
         (estimate_abl, three_box().context),
-        (estimate_abl, _widest_mask_context()),
+        # MAX_COMPARED_BOUNDS + 1 outcomes: the most branch bounds that the
+        # kernel still compares one by one, so the longest list of masks
+        (estimate_abl, _square_context(MAX_COMPARED_BOUNDS + 1, 8)),
         (_interposition_pass, three_box().context),
+        # k = 20: the kernel's binary search
+        (estimate_abl, _square_context(20, 20)),
     ],
-    ids=["three-box", "widest-masks", "interposition"],
+    ids=["three-box", "widest-masks", "interposition", "search"],
 )
 def test_two_worker_estimate_holds_one_sub_batch_per_worker(estimate, ctx, monkeypatch):
     # each worker frees its 512 KiB sub-batch of words before it draws the
     # next, and each column copy before it copies the next, so two workers
     # peak under 1.5 MiB; a worker that drew the next sub-batch while it still
-    # held the last would peak near 2.1 MiB
+    # held the last would peak near 2.1 MiB, and a search over a whole
+    # sub-batch at once near 1.8 MiB
     monkeypatch.setenv("ABL_ENGINE_THREADS", "2")
     estimate(ctx, 2**20, 6)
     tracemalloc.start()
@@ -697,6 +776,72 @@ def test_interposition_effect_matches_analytic_random_instance():
     p_with = marginal_with_Q(ctx)
     assert abs(rate_without - p_direct) < 5 * math.sqrt(p_direct * (1 - p_direct) / 300000)
     assert abs(rate_with - p_with) < 5 * math.sqrt(p_with * (1 - p_with) / 300000)
+
+
+# The sampler verifies the rules built from both estimators, in simulated
+# ensembles that post-select by filtering: estimate_abl's count of branch q
+# over its trials estimates p(q, b|a) on stream 0, and the direct rate of
+# estimate_interposition_effect estimates p(b|a) on stream 1, so the two are
+# independent. Ratios get delta-method standard errors.
+VERIFY_TRIALS = 2**19
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [three_box().context, random_context(np.random.default_rng(43), 4, min_direct=0.05)],
+    ids=["three-box", "random"],
+)
+def test_sampler_verifies_kastner_weights(ctx):
+    n = VERIFY_TRIALS
+    stats = estimate_abl(ctx, n, 41)
+    direct, _ = estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, n, 41)
+    weights = kastner(ctx)
+    sampled = [(label, count, weights[label]) for label, count in stats.counts]
+    for label, count, weight in [*sampled, ("total", stats.accepted, weights.total())]:
+        # w = p(q, b|a) / p(b|a), each a binomial rate over the n trials
+        w = count / n / direct
+        se = w * math.sqrt((n - count) / (n * count) + (1.0 - direct) / (n * direct))
+        assert abs(w - weight) < 5 * se, label
+    if ctx is three_box().context:
+        assert weights.total() == pytest.approx(3.0, abs=1e-12)
+
+
+def _sampled_decomposition(pre, q, b_obs, seed):
+    """Born lhs_j = sum_i p(q_j, b_i|a) and rhs_j = sum_i [p(q_j, b_i|a) /
+    p(b_i|a, Q)] p(b_i|a), each with its standard error, from one
+    estimate_abl and one estimate_interposition_effect per post ket b_i,
+    each b_i on its own seed."""
+    n, k = VERIFY_TRIALS, len(q.outcomes)
+    lhs, lhs_var, rhs, rhs_var = np.zeros(k), np.zeros(k), np.zeros(k), np.zeros(k)
+    for i, outcome in enumerate(b_obs.outcomes):
+        b = StateVector(np.linalg.eigh(outcome.matrix)[1][:, -1])  # rank 1
+        stats = estimate_abl(SelectionContext(pre, b, q), n, seed + i)
+        direct, _ = estimate_interposition_effect(pre, q, b, n, seed + i)
+        joint = np.array([count for _, count in stats.counts]) / n
+        lhs, lhs_var = lhs + joint, lhs_var + joint * (1.0 - joint) / n
+        f = joint * n / stats.accepted  # p(q_j, b_i|a) / p(b_i|a, Q)
+        rhs = rhs + f * direct
+        rhs_var += direct**2 * f * (1.0 - f) / stats.accepted + f**2 * direct * (1.0 - direct) / n
+    return lhs, np.sqrt(lhs_var), rhs, np.sqrt(rhs_var)
+
+
+def test_sampler_verifies_decomposition():
+    case = decomposition_counterexample()
+    plus_y = StateVector.normalized([1.0, 1.0j])
+    for (pre, q, b_obs), holds in (
+        ((case.pre, case.q, case.b_obs), False),  # residual about 0.118
+        ((plus_y, SZ, SX), True),  # interference_term_zero
+    ):
+        report = decomposition_check(pre, q, b_obs)
+        assert report.conditions_hold == holds
+        lhs, lhs_se, rhs, rhs_se = _sampled_decomposition(pre, q, b_obs, 47)
+        for row, *sampled in zip(report.outcomes, lhs, lhs_se, rhs, rhs_se):
+            lhs_j, lhs_se_j, rhs_j, rhs_se_j = sampled
+            assert abs(lhs_j - row.lhs) < 5 * lhs_se_j, row.label
+            assert abs(rhs_j - row.rhs) < 5 * rhs_se_j, row.label
+            # the residual against the Born value, in standard errors of rhs
+            z = abs(row.lhs - rhs_j) / rhs_se_j
+            assert z < 5 if holds else z > 20, (row.label, z)
 
 
 CALIBRATION_SEEDS = 400

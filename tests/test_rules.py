@@ -28,6 +28,7 @@ from abl_engine import (
     abl_trivial_reduction,
     basis_state,
     decomposition_check,
+    estimate_interposition_effect,
     inner,
     interposition_inequality,
     kastner,
@@ -725,7 +726,8 @@ def test_interposition_lower_bound(seed, dim):
 
 
 def test_interposition_positivity_transfer():
-    # p_with_Q vanishes only when p_direct does
+    # p_with_Q vanishes only when p_direct does, above the snap band of
+    # test_snap_band_can_zero_a_sum_whose_own_weight_is_not_zero
     rng = np.random.default_rng(59)
     for _ in range(50):
         dim = int(rng.integers(2, 7))
@@ -734,6 +736,42 @@ def test_interposition_positivity_transfer():
         p_direct, p_with_q = interposition_inequality(pre, obs, post)
         if p_direct > 1e-9:
             assert p_with_q > 0.0
+
+
+def test_snap_band_can_zero_a_sum_whose_own_weight_is_not_zero():
+    # each weight snaps to 0 on its own at or below 1e-12, so with K outcomes
+    # a sum of snapped weights can be 0 while 1e-12 < p_direct <= K^2 * 1e-12.
+    # d = 3, coordinate Q: the weights are e^2 / 2, e^2 / 2 and 0, each
+    # snapped, so p_with_Q is 0 while p_direct = 2 e^2 is not
+    e = math.sqrt(1.5e-12)
+    a = StateVector.normalized([1.0, 1.0, 0.0])
+    b = StateVector(np.array([e, e, math.sqrt(1.0 - 2.0 * e * e)], dtype=complex))
+    q = _coordinate_observable([[0], [1], [2]], 3, "q")
+    p_direct, p_with_q = interposition_inequality(a, q, b)
+    assert p_with_q == 0.0
+    assert math.isclose(p_direct, 3.0e-12, rel_tol=1e-13)
+    assert ZERO_PROB_TOL < p_direct <= 3**2 * ZERO_PROB_TOL
+    with pytest.raises(ImpossiblePostSelection):
+        SelectionContext(a, b, q)
+    assert estimate_interposition_effect(a, q, b, 2**16, 0) == (0.0, 0.0)
+
+
+def test_kastner_refuses_a_snapped_direct_weight_of_a_reachable_context():
+    # <a|b> = e, about 7.1e-7, so the states are not orthogonal, but
+    # |<a|b>|^2 = 5e-13 snaps to 0; through sigma_x the context is reachable
+    # and abl gives 1/2 +- e sqrt(1 - e^2)
+    e = math.sqrt(5e-13)
+    post = StateVector(np.array([e, math.sqrt(1.0 - e * e)], dtype=complex))
+    ctx = SelectionContext(basis_state(2, 0), post, _sigma_x_basis())
+    values = [value for _, value in abl(ctx).entries]
+    assert [round(value, 7) for value in values] == [0.5000007, 0.4999993]
+    for value, sign in zip(values, (1.0, -1.0)):
+        assert math.isclose(value, 0.5 + sign * e * math.sqrt(1.0 - e * e), rel_tol=1e-13)
+    with pytest.raises(
+        OrthogonalPrePost,
+        match=r"^the direct weight \|<a\|b>\|\^2 snapped to 0 \(at or below 1e-12\); rule undefined$",
+    ):
+        kastner(ctx)
 
 
 # product rule
