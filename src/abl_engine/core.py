@@ -152,10 +152,10 @@ class Observable:
         return self.outcomes[self._position(label)]
 
 
-def trivial_observable(dim: int, label: str = "any") -> Observable:
-    """The single-outcome observable whose projector is the identity."""
+def trivial_observable(dim: int) -> Observable:
+    """The single-outcome observable "any", whose projector is the identity."""
     dim = _checked_int("dim", dim, 1, MAX_DIM)
-    return Observable((Projector(np.eye(dim, dtype=np.complex128), label),))
+    return Observable((Projector(np.eye(dim, dtype=np.complex128), "any"),))
 
 
 # ---------------------------------------------------------------------------

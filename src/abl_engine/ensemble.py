@@ -5,8 +5,9 @@ observable in state psi has probability ||P_k psi||^2 and leaves P_k psi,
 normalized; a final binary measurement post-selects on |b>. Post-selection
 is a genuine filter, not importance weighting, so the estimates stay
 independent of the formulas they are checked against. `run_trial` and both
-vectorized estimators take their tables from one builder and compare each
-draw against the same exact bounds, so they agree by construction.
+vectorized estimators take their tables from one builder, which encodes each
+bound once as an exact integer on the draw m = word >> 11 of a Philox word,
+and compare m against the same bounds, so they agree by construction.
 
 Randomness comes from a counter-based generator (Philox) keyed by
 (seed, stream) with one counter block per trial, so trials are
@@ -128,14 +129,9 @@ def trial_stream(
 # branch, always selects some branch, and resolves boundary ties to the
 # lower-indexed outcome.
 #
-# The samplers compare the raw draw x = m * 2**-53 (numpy's `random`, with
-# m = word >> 11 of a Philox word) against bounds computed once per table,
-# instead of forming u = 1 - x per draw. u is exact, so for any v, u <= v
-# holds exactly when x >= _raw_bound(v), and v < u exactly when
-# x < _raw_bound(v): branch picks equal searchsorted(cumulative, u, "left")
-# and acceptance equals u <= threshold. Each bound b is a multiple of 2**-53
-# in [0, 1], so x < b exactly when m < b * 2**53. run_trial compares doubles
-# and the estimators compare m, so no word is converted to a double.
+# Every sampler compares the draw m = word >> 11 of a Philox word with the
+# integer bounds of _raw_bound, so with u = 1 - m * 2**-53 its branch picks
+# equal searchsorted(cumulative, u, "left") and its acceptance u <= threshold.
 
 
 def _closed_cumulative(probs: np.ndarray) -> np.ndarray:
@@ -145,19 +141,19 @@ def _closed_cumulative(probs: np.ndarray) -> np.ndarray:
 
 
 def _raw_bound(values) -> np.ndarray:
-    """Exact bound on the raw draw x for each value v: with u = 1 - x,
-    u <= v iff x >= bound and v < u iff x < bound."""
+    """Exact uint64 bound on the draw m for each value v in [0, 1]: with
+    u = 1 - m * 2**-53, u <= v iff m >= bound and v < u iff m < bound."""
     scale = 2.0**53
-    return 1.0 - np.floor(np.asarray(values, dtype=float) * scale) / scale
+    return (scale - np.floor(np.asarray(values, dtype=float) * scale)).astype(np.uint64)
 
 
 def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndarray):
     """One ideal measurement of the pure state psi before the post-selection
     on |post>: the projected vectors P_k psi, their snapped probabilities
-    p_k = ||P_k psi||^2, the raw-draw bounds that _branch_index takes, and
+    p_k = ||P_k psi||^2, the bounds on m that _branch_index takes, and
     each branch's acceptance bound. A branch passes the post-selection with
     t_k, its snapped transition weight over p_k (0 if never drawn); the
-    bound is the raw-draw bound of the first entry of the closed cumulative
+    bound is the _raw_bound of the first entry of the closed cumulative
     of the binary filter {t_k, 1 - t_k}. With no observable, psi is the one
     branch, taken with p = 1."""
     if observable is None:
@@ -172,14 +168,14 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
     return projected, probs, rising, accept_from
 
 
-def _branch_index(x, rising: np.ndarray):
+def _branch_index(m, rising: np.ndarray):
     # rising holds _raw_bound of the cumulative without its closing 1.0, in
-    # ascending order, as doubles or as integers on m; branch = number of
-    # bounds above x, one draw or an array of them, compared bound by bound
-    # into one byte per draw: MAX_DIM = 64 outcomes give at most 63 bounds
+    # ascending order; branch = number of bounds above m, one draw or an
+    # array of them, compared bound by bound into one byte per draw:
+    # MAX_DIM = 64 outcomes give at most 63 bounds
     picked = np.uint8(0)
     for bound in rising:
-        picked += x < bound
+        picked += m < bound
     return picked
 
 
@@ -191,17 +187,21 @@ def run_trial(
 ) -> TrialOutcome:
     """One simulated history: measure each observable in order, continuing
     from each outcome's projected state, then apply the final post-selection
-    filter. Takes one draw per observable and one for the filter."""
+    filter. A trial's block holds one draw per observable and one for the
+    filter, so more than DRAWS_PER_BLOCK - 1 observables are refused before
+    any draw. Each draw is read as m, exactly 2**53 times the generator's double."""
     _same_dim(pre, *observables, post)
+    n = _checked_int("number of observables", len(observables), 0, DRAWS_PER_BLOCK - 1)
+    draws = iter(rng_stream.random(n + 1) * 2.0**53)
     psi, k, labels = pre.amplitudes, 0, []
     for obs in observables or [None]:
         projected, probs, rising, accept_from = _branch_tables(psi, obs, post.amplitudes)
         if obs is not None:
-            k = int(_branch_index(rng_stream.random(), rising))
+            k = int(_branch_index(next(draws), rising))
             labels.append(obs.outcomes[k].label)
             # normalized, so the next step snaps conditional probabilities
             psi = projected[k] / np.sqrt(probs[k])
-    accepted = rng_stream.random() >= accept_from[k]
+    accepted = next(draws) >= accept_from[k]
     return TrialOutcome(tuple(labels), bool(accepted))
 
 
@@ -324,8 +324,7 @@ def _sampling_pass(
     tables = []
     for observable, column in filters:
         _same_dim(pre, observable, post)
-        _, _, *bounds = _branch_tables(pre.amplitudes, observable, post.amplitudes)
-        tables.append((column, *((b * 2.0**53).astype(np.uint64) for b in bounds)))
+        tables.append((column, *_branch_tables(pre.amplitudes, observable, post.amplitudes)[2:]))
     return _map_ranges(partial(_range_counts, seed, stream, tables), trials)
 
 

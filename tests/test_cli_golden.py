@@ -74,6 +74,11 @@ CASES = {
     "scenario-three-box-mc-seed0": ["scenario", "three-box", "--mc", "--seed", "0"],
     "scenario-three-box-mc-seed7": ["scenario", "three-box", "--mc", "--seed", "7"],
     "scenario-three-box-mc-seed12345": ["scenario", "three-box", "--mc", "--seed", "12345"],
+    # the report the cli-mc benchmark renders: 1,024 sub-batches, split over
+    # the workers when there are two CPUs
+    "scenario-three-box-mc-2p24-seed7": [
+        "scenario", "three-box", "--mc", "--trials", "16777216", "--seed", "7",
+    ],
     "scenario-three-box-QA-mc": [
         "scenario", "three-box", "--variant", "QA", "--mc", "--trials", "30000", "--seed", "7",
     ],

@@ -128,9 +128,10 @@ def test_closed_cumulative_snaps_and_closes():
 
 
 def test_accept_bounds_close_the_binary_filter(monkeypatch):
-    # each acceptance bound of the table is the raw-draw bound of the first
+    # each acceptance bound of the table is the _raw_bound of the first
     # entry of the closed cumulative of {t, 1 - t}, for a branch that passes
-    # with t; with no observable the one branch has p = 1, so t is its weight
+    # with t; with no observable the one branch has p = 1, so t is its weight.
+    # The bound is the integer 2**53 - floor(v * 2**53), here from v exactly
     rng = np.random.default_rng(5)
     ulp = 2.0**-52
     special = [0.0, 1.0, 1.0 - ulp / 2, 1.0 + ulp, 1.0 - 1e-12, 1.0 - 2e-12, 1e-12, 2e-12, 2.0**-53]
@@ -138,7 +139,10 @@ def test_accept_bounds_close_the_binary_filter(monkeypatch):
     for t in [*special, *rng.random(20)]:
         monkeypatch.setattr(ensemble, "_transition_weights", lambda *args: (t,))
         (bound,) = _branch_tables(psi, None, psi)[3]
-        assert bound == _raw_bound(_closed_cumulative(_snap(np.array([t, 1.0 - t])))[0]), t
+        v = _closed_cumulative(_snap(np.array([t, 1.0 - t])))[0]
+        assert bound == _raw_bound(v), t
+        assert isinstance(bound, np.uint64), t
+        assert bound == 2**53 - math.floor(Fraction(v) * 2**53), t
 
 
 def test_zero_branches_never_drawn():
@@ -177,6 +181,7 @@ def test_run_trial_no_observables_matches_direct_born():
 def test_run_trial_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         run_trial(basis_state(2, 0), [], basis_state(3, 0), trial_stream(0, 0))
+
 
 
 def test_run_trial_never_draws_vanishing_branch():
@@ -273,7 +278,7 @@ def test_interposition_effect_matches_trial_loop_bit_exactly(monkeypatch):
 
 
 def _draws_near(values):
-    """Raw draws x = m * 2**-53 for every m within 4 of where u = 1 - x
+    """Draws m, as uint64, for every m within 4 of where u = 1 - m * 2**-53
     crosses one of the values, from either side."""
     scale = 2**53
     centers = set()
@@ -281,9 +286,14 @@ def _draws_near(values):
         floor = int(np.floor(v * scale))
         centers.update((floor, scale - floor))
     m = sorted({c + d for c in centers for d in range(-4, 5) if 0 <= c + d < scale})
-    x = np.array(m, dtype=np.int64).astype(float) / scale
-    assert np.array_equal(x * scale, m)  # exact
-    return x
+    return np.array(m, dtype=np.uint64)
+
+
+def _u(m):
+    """u = 1 - m * 2**-53 for draws m, exact in doubles."""
+    u = 1.0 - m.astype(float) / 2**53
+    assert np.array_equal((1.0 - u) * 2**53, m)  # exact
+    return u
 
 
 class _Words:
@@ -299,16 +309,15 @@ class _Words:
 
 
 def _count_words(monkeypatch, filters, columns):
-    """Post-selected counts of one sampling pass through the given float
+    """Post-selected counts of one sampling pass through the given integer
     tables, one (observable, column, rising, accept_from) per filter, over
-    one trial per row of draws: columns[c] is fed to word c of the trial's
-    block as m << 11 with random nonzero low bits, and every other word is
-    random."""
+    one trial per row of draws: the draws m in columns[c] are fed to word c
+    of the trial's block as m << 11 with random nonzero low bits, and every
+    other word is random."""
     n = len(next(iter(columns.values())))
     rng = np.random.default_rng(n)
     words = rng.integers(0, 2**64, (n, DRAWS_PER_BLOCK), dtype=np.uint64)
-    for c, x in columns.items():
-        m = (x * 2**53).astype(np.uint64)
+    for c, m in columns.items():
         words[:, c] = m << np.uint64(11) | rng.integers(1, 2**11, n, dtype=np.uint64)
     monkeypatch.setattr(ensemble, "_philox", lambda seed, stream, first: _Words(words.ravel(), first))
     tables = iter([(None, None, rising, accept_from) for _, _, rising, accept_from in filters])
@@ -331,30 +340,31 @@ def test_kernels_reproduce_searchsorted_on_u(k, monkeypatch):
     rising, accept_from = _raw_bound(cumulative[:-1][::-1]), _raw_bound(thresholds)
 
     x, y = _draws_near(cumulative), _draws_near(thresholds)
-    picked = np.searchsorted(cumulative, 1.0 - x, side="left")
+    picked = np.searchsorted(cumulative, _u(x), side="left")
     assert np.array_equal(np.broadcast_to(_branch_index(x, rising), x.shape), picked)
 
     # every (x, y) pair as one trial's draws, fed through the counting kernel
     picked = np.repeat(picked, len(y))
     x, y = np.repeat(x, len(y)), np.tile(y, len(x))
-    expected = np.bincount(picked[1.0 - y <= thresholds[picked]], minlength=k)
+    expected = np.bincount(picked[_u(y) <= thresholds[picked]], minlength=k)
     observable = three_box().context.intervening
     counts = _count_words(monkeypatch, [(observable, 1, rising, accept_from)], {0: x, 1: y})
     assert np.array_equal(counts, expected)
 
     # no observable: no branch bounds, and the filter's column alone decides
+    none = np.empty(0, dtype=np.uint64)
     for t in [*special, *thresholds]:
         column = _draws_near([t])
-        hits = _count_words(monkeypatch, [(None, 0, np.empty(0), _raw_bound([t]))], {0: column})
-        assert np.array_equal(hits, [np.count_nonzero(1.0 - column <= t)])
+        hits = _count_words(monkeypatch, [(None, 0, none, _raw_bound([t]))], {0: column})
+        assert np.array_equal(hits, [np.count_nonzero(_u(column) <= t)])
 
     # two filters on one block, as estimate_interposition_effect counts them:
     # the observable's on words 0 and 1, a direct filter's on word 2
     t = thresholds[0]
     z = np.resize(_draws_near([t]), len(x))
-    filters = [(None, 2, np.empty(0), _raw_bound([t])), (observable, 1, rising, accept_from)]
+    filters = [(None, 2, none, _raw_bound([t])), (observable, 1, rising, accept_from)]
     counts = _count_words(monkeypatch, filters, {0: x, 1: y, 2: z})
-    assert np.array_equal(counts, [np.count_nonzero(1.0 - z <= t), *expected])
+    assert np.array_equal(counts, [np.count_nonzero(_u(z) <= t), *expected])
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
@@ -375,13 +385,15 @@ def test_raw_words_shifted_are_the_generators_doubles(seed, stream, first_block)
 
 
 class _Draws:
-    """Stands in for a generator: random() returns the given draws in order."""
+    """Stands in for a generator: random(n) returns the next n of the given
+    draws."""
 
     def __init__(self, *draws):
-        self.draws = iter(draws)
+        self.draws = list(draws)
 
-    def random(self):
-        return next(self.draws)
+    def random(self, n):
+        taken, self.draws = self.draws[:n], self.draws[n:]
+        return np.array(taken)
 
 
 @pytest.mark.parametrize("ctx", [three_box().context, spin_half().context])
@@ -394,18 +406,36 @@ def test_run_trial_reproduces_searchsorted_on_u(ctx):
         _closed_cumulative(_snap(np.array([w / p, 1.0 - w / p])))[0] for w, p in zip(weights, probs)
     ]
     for x in _draws_near(cumulative):
-        k = np.searchsorted(cumulative, 1.0 - x, side="left")
+        k = np.searchsorted(cumulative, _u(x), side="left")
         for y in _draws_near(thresholds):
-            outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, _Draws(x, y))
+            draws = _Draws(x / 2**53, y / 2**53)
+            outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, draws)
             assert outcome.intermediate_labels == (ctx.intervening.labels[k],)
-            assert outcome.post_selected == (1.0 - y <= thresholds[k])
+            assert outcome.post_selected == (_u(y) <= thresholds[k])
 
 
-# The exact law of the sampler. A draw is x = m * 2**-53 with m uniform on
-# [0, 2**53), and every bound the kernels compare it with is a multiple of
-# 2**-53, so P(x < bound) = bound exactly: the chance that a trial takes
-# branch k and passes the post-selection is a dyadic rational read off the
-# tables without a single draw.
+def test_run_trial_takes_at_most_one_block():
+    # a trial's block holds one draw per observable and one for the filter;
+    # a fifth draw would be the first word of the next trial's block
+    ctx = three_box().context
+    block = trial_stream(0, 0).random(DRAWS_PER_BLOCK)
+    for n in range(DRAWS_PER_BLOCK):
+        draws = _Draws(*block)
+        run_trial(ctx.pre, [ctx.intervening] * n, ctx.post, draws)
+        assert len(draws.draws) == DRAWS_PER_BLOCK - n - 1
+    for n in (DRAWS_PER_BLOCK, DRAWS_PER_BLOCK + 1):
+        draws = _Draws(*block)
+        refusal = rf"^number of observables must be in 0\.\.3, got {n}$"
+        with pytest.raises(ValidationError, match=refusal):
+            run_trial(ctx.pre, [ctx.intervening] * n, ctx.post, draws)
+        assert len(draws.draws) == DRAWS_PER_BLOCK  # refused before any draw
+
+
+# The exact law of the sampler. A draw m is uniform on [0, 2**53), and every
+# bound q the kernels compare it with is an integer, so P(m < q) = q * 2**-53
+# exactly: the chance that a trial takes branch k and passes the
+# post-selection is a dyadic rational read off the tables without a single
+# draw.
 
 # |law_k - abl_k * sum(law)| in units of 2**-53: the branch's two bounds and
 # its acceptance bound each lose less than one unit to their floors, plus the
@@ -428,11 +458,12 @@ def _exact_law(pre, observables, post):
 
     def walk(psi, path, taken):
         projected, probs, rising, accept_from = _branch_tables(psi, observables[len(path)], post)
-        rising = [Fraction(b) for b in rising]
-        accept_from = [Fraction(b) for b in accept_from]
-        assert all((b * 2**53).denominator == 1 for b in rising + accept_from)
-        # the branch is the number of rising bounds above x, so branch j owns
-        # [edges[k - 1 - j], edges[k - j]); acceptance needs x >= its bound
+        assert rising.dtype == accept_from.dtype == np.uint64
+        rising = [Fraction(int(b), 2**53) for b in rising]
+        accept_from = [Fraction(int(b), 2**53) for b in accept_from]
+        # the branch is the number of rising bounds above m, so branch j owns
+        # [edges[k - 1 - j], edges[k - j]) * 2**53; acceptance needs m >= its
+        # bound
         edges = [Fraction(0), *rising, Fraction(1)]
         k = len(accept_from)
         for j, a in enumerate(accept_from):

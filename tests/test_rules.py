@@ -491,20 +491,26 @@ def _sylvester_hadamard(dim):
     return rows.tolist()
 
 
+def _hadamard_post(dim):
+    """The post basis |b_i> = h_i / sqrt(dim) of the Sylvester-Hadamard rows,
+    as an observable and as Gaussian-integer kets h_i. Its projector entries
+    are +-1/dim, so with a coordinate-partition Q every value is an exact
+    rational."""
+    hadamard = _sylvester_hadamard(dim)
+    b_obs = Observable(
+        tuple(
+            Projector(np.outer(h, h).astype(complex) / dim, f"b{i}")
+            for i, h in enumerate(hadamard)
+        )
+    )
+    return b_obs, [[(entry, 0) for entry in h] for h in hadamard]
+
+
 def test_decomposition_matches_the_rational_oracle():
-    # the post basis |b_i> = h_i / sqrt(dim) has projector entries +-1/dim,
-    # so with a coordinate-partition Q every value is an exact rational
     rng = np.random.default_rng(3000)
     refused = zeros = 0
     for dim in (2, 4):
-        hadamard = _sylvester_hadamard(dim)
-        b_obs = Observable(
-            tuple(
-                Projector(np.outer(h, h).astype(complex) / dim, f"b{i}")
-                for i, h in enumerate(hadamard)
-            )
-        )
-        kets = [[(entry, 0) for entry in h] for h in hadamard]
+        b_obs, kets = _hadamard_post(dim)
         every = range(dim)
         for _ in range(250):
             a = _gaussian_integers(rng, dim)
@@ -534,6 +540,171 @@ def test_decomposition_matches_the_rational_oracle():
                 _assert_matches(row.rhs, rhs)
                 zeros += (lhs == 0) + (rhs == 0)
     assert refused and zeros, (refused, zeros)
+
+
+# the snap audit: the rational oracle on draws whose exact weights land in
+# [1e-13, 1e-10], around the snap at ZERO_PROB_TOL. The engine computes the
+# exact formula of each value with every weight at or below ZERO_PROB_TOL set
+# to 0, so an identity of the exact weights holds for its values up to what
+# those zeros remove: at most ZERO_PROB_TOL for each snapped weight.
+
+_TOL = Fraction(ZERO_PROB_TOL)
+_ULP = 2.0**-53
+
+
+def _snapped(w):
+    """An exact weight as the engine snaps it."""
+    return w if w > _TOL else Fraction(0)
+
+
+def _float_error(w, dim):
+    """Bound on |computed - exact| for a weight w = |<b|P|a>|^2 of unit
+    vectors in dimension dim: normalizing, multiplying and summing leave the
+    inner product off by at most 2 (dim + 3) units of 2**-53, which squaring
+    turns into an error of order sqrt(w), not w; it dominates for small w."""
+    amp = 2 * (dim + 3) * _ULP
+    return 2 * amp * math.sqrt(w) + amp * amp + 4 * _ULP * w
+
+
+def _orthogonal_within_parts(v, parts):
+    """A Gaussian-integer vector c with <c|P|v> = 0 for the coordinate
+    projector P of every part: each pair (i, j) of indices in a part gets
+    c_i = conj(v_j) and c_j = -conj(v_i), and an unpaired index gets 0."""
+    c = [[0, 0] for _ in v]
+    for part in parts:
+        for i, j in zip(part[::2], part[1::2]):
+            c[i], c[j] = [v[j][0], -v[j][1]], [-v[i][0], v[i][1]]
+    return c
+
+
+def _near(rng, c, e, top, norm):
+    """The Gaussian-integer vector n c + e, proportional to c + e / n, with n
+    chosen so that the weight top / (n^2 norm) that e leaves lands at a
+    log-uniform point of [1e-13, 1e-10]."""
+    n = max(1, round(math.sqrt(top / (norm * 10 ** rng.uniform(-13, -10)))))
+    return [[n * x[0] + y[0], n * x[1] + y[1]] for x, y in zip(c, e)]
+
+
+def test_snap_audit_of_the_interposition_identities():
+    # b = n c + e with c orthogonal to a within every part of Q, so every
+    # <b|P_q|a> = <e|P_q|a> and <b|a> = <e|a>: all weights are of order 1/n^2
+    breaks = dict.fromkeys(("cauchy-schwarz", "possibility", "kastner refused", "kastner"), 0)
+    in_window = drawn = 0
+    for dim in range(2, 7):
+        rng = np.random.default_rng(4000 + dim)
+        every = range(dim)
+        for _ in range(100):
+            a, e = _gaussian_integers(rng, dim), _gaussian_integers(rng, dim)
+            parts = _partition(rng, dim)
+            c = _orthogonal_within_parts(a, parts)
+            top = max(_bra_ket(e, a, part) for part in parts)
+            if not _norm2(a, every) or not _norm2(c, every) or not top:
+                continue
+            b = _near(rng, c, e, top, _norm2(a, every) * _norm2(c, every))
+            norm = _norm2(a, every) * _norm2(b, every)
+            w = [Fraction(_bra_ket(b, a, part), norm) for part in parts]
+            direct = Fraction(_bra_ket(b, a, every), norm)
+            k, snapped = len(parts), sum(0 < x <= _TOL for x in w)
+            drawn += 1
+            in_window += Fraction(1, 10**13) <= max(w) <= Fraction(1, 10**10)
+            # exact: Cauchy-Schwarz, and so possibility preservation
+            assert direct <= k * sum(w)
+            # the engine's two rates are the snapped exact ones
+            pre, post, q = _ket(a), _ket(b), _coordinate_observable(parts, dim, "q")
+            p_direct, p_with_q = interposition_inequality(pre, q, post)
+            err = _float_error(float(direct), dim)
+            err_q = sum(_float_error(float(x), dim) for x in w)
+            assert abs(p_direct - float(_snapped(direct))) <= err
+            assert abs(p_with_q - float(sum(map(_snapped, w)))) <= err_q
+            # Cauchy-Schwarz holds once each snapped weight is put back
+            slack = err + k * err_q
+            assert p_direct <= k * (p_with_q + snapped * ZERO_PROB_TOL) + slack
+            breaks["cauchy-schwarz"] += p_direct > k * p_with_q + slack
+            if p_with_q == 0.0:
+                # possibility preservation fails only in the band
+                # 1e-12 < p_direct <= K s 1e-12 <= K^2 1e-12
+                assert p_direct <= k * snapped * ZERO_PROB_TOL + err
+                breaks["possibility"] += p_direct > 0.0
+                with pytest.raises(ImpossiblePostSelection):
+                    SelectionContext(pre, post, q)
+                continue
+            ctx = SelectionContext(pre, post, q)
+            if p_direct == 0.0:
+                # the direct weight snapped: the rule is undefined although
+                # the exact one is not
+                with pytest.raises(OrthogonalPrePost):
+                    kastner(ctx)
+                breaks["kastner refused"] += direct > 0
+                continue
+            # the Kastner identity holds for the reported values, and falls
+            # short of the exact sum of weights by the snapped ones
+            total = kastner(ctx).total()
+            assert math.isclose(total * p_direct, marginal_with_Q(ctx), rel_tol=1e-13)
+            shortfall = float(sum(w)) - total * p_direct
+            assert -err_q <= shortfall <= snapped * ZERO_PROB_TOL + err_q
+            breaks["kastner"] += shortfall > err_q
+    assert in_window >= 0.9 * drawn, (in_window, drawn)
+    assert all(breaks.values()), breaks
+
+
+def test_snap_audit_of_the_decomposition():
+    # a = n c + e with c orthogonal to one post ket h_i within every part of
+    # Q, so row i's joint and direct weights are of order 1/n^2, and so is
+    # the Born weight of a part that c leaves at 0
+    breaks = dict.fromkeys(("refused", "lhs", "rhs"), 0)
+    for dim in (2, 4):
+        rng = np.random.default_rng(5000 + dim)
+        b_obs, kets = _hadamard_post(dim)
+        every = range(dim)
+        for _ in range(100):
+            parts, e = _partition(rng, dim), _gaussian_integers(rng, dim)
+            h = kets[rng.integers(dim)]
+            c = _orthogonal_within_parts(h, parts)
+            top = max(_bra_ket(h, e, part) for part in parts)
+            if not _norm2(c, every) or not top:
+                continue
+            a = _near(rng, c, e, top, dim * _norm2(c, every))
+            norm_a = _norm2(a, every)
+            joint = [[Fraction(_bra_ket(g, a, part), dim * norm_a) for part in parts] for g in kets]
+            direct = [Fraction(_bra_ket(g, a, every), dim * norm_a) for g in kets]
+            born = [Fraction(_norm2(a, part), norm_a) for part in parts]
+            # exact: the post basis is complete
+            assert born == [sum(column) for column in zip(*joint)] and sum(direct) == 1
+            pre, q = _ket(a), _coordinate_observable(parts, dim, "q")
+            snapped_joint = [[_snapped(x) for x in row] for row in joint]
+            if not all(map(any, snapped_joint)):
+                # a final ket whose every joint weight snapped is refused,
+                # although its exact weights are not all 0
+                with pytest.raises(DegeneratePostObservable):
+                    decomposition_check(pre, q, b_obs)
+                breaks["refused"] += 1
+                continue
+            report = decomposition_check(pre, q, b_obs)
+            for j, row in enumerate(report.outcomes):
+                # lhs is the Born weight, snapped
+                assert math.isclose(row.lhs, float(_snapped(born[j])), rel_tol=1e-13)
+                breaks["lhs"] += born[j] != _snapped(born[j])
+                # rhs is the exact formula of the snapped weights, within the
+                # float error of each term; a snapped weight of row i moves
+                # the row's share j_ij / w_i by at most s_i 1e-12 / w_i, and
+                # Cauchy-Schwarz (d_i <= K w_i) turns that into K s_i 1e-12,
+                # plus 1e-12 where d_i itself snapped
+                exact = snapped = err = band = Fraction(0)
+                for joint_i, hat_i, d in zip(joint, snapped_joint, direct):
+                    exact += joint_i[j] * d / sum(joint_i)
+                    term = hat_i[j] * _snapped(d) / sum(hat_i)
+                    snapped += term
+                    rel = sum(_float_error(float(x), dim) for x in joint_i) / float(sum(hat_i))
+                    if term:
+                        rel += (_float_error(float(hat_i[j]), dim) / float(hat_i[j])
+                                + _float_error(float(d), dim) / float(d) + 8 * _ULP)
+                    err += Fraction(float(term) * rel)
+                    s_i = sum(0 < x <= _TOL for x in joint_i)
+                    band += (len(parts) * s_i + (0 < d <= _TOL)) * _TOL
+                assert abs(Fraction(row.rhs) - snapped) <= err
+                assert abs(snapped - exact) <= band
+                breaks["rhs"] += snapped != exact
+    assert all(breaks.values()), breaks
 
 
 def _sigma_z():
