@@ -161,77 +161,68 @@ def _product_rule(pre, post, observables, trials, seed) -> dict:
 
 @dataclass(frozen=True)
 class _Command:
-    """One CLI command: its help, the inputs it requires, and its results
-    from (pre, post, observables, trials, seed).
+    """One CLI command, the one declaration of its inputs: its help, what it
+    reads, and its results from (pre, post, observables, trials, seed).
 
-    `states` lists the required state options in the order they are checked;
-    a `builtin` command reads a named scenario instead of files and samples
-    only with --mc, while a `sampled` one always does.
+    The parser requires one --<name> option per entry of `states`, in that
+    order, and declares no other state option. `observables` says what each
+    --observable file holds, in order; its length is the number of files
+    `_load` requires. A `builtin` command reads a named scenario instead of
+    files and samples only with --mc, while a `sampled` one always does.
     """
 
     help: str
     states: tuple[str, ...]
-    observables: int
     results: Callable[..., dict]
-    observable_help: str = "JSON file with the interposed observable"
+    observables: tuple[str, ...] = ("the interposed observable",)
     sampled: bool = False
     builtin: bool = False
 
 
 _COMMANDS = {
-    "abl": _Command("two-time conditional distribution", ("pre", "post"), 1, _two_time),
-    "kastner": _Command("rival rule weights", ("pre", "post"), 1, _kastner),
+    "abl": _Command("two-time conditional distribution", ("pre", "post"), _two_time),
+    "kastner": _Command("rival rule weights", ("pre", "post"), _kastner),
     "decomposition": _Command(
         "decomposition identity check",
         ("pre",),
-        2,
         _decomposition,
-        "two uses: first the probed observable, then the final rank-1 basis",
+        ("the probed observable", "the final rank-1 basis"),
     ),
     "inequality": _Command(
-        "post-selection probability with and without the observable",
-        ("pre", "post"),
-        1,
-        _inequality,
+        "post-selection probability with and without the observable", ("pre", "post"), _inequality
     ),
     "product-rule": _Command(
         "product rule check for two commuting observables",
         ("pre", "post"),
-        2,
         _product_rule,
-        "two uses: first observable x, then observable y",
+        ("observable x", "observable y"),
     ),
     "mc": _Command(
         "Monte Carlo estimate of the two-time distribution",
         ("pre", "post"),
-        1,
         _two_time,
         sampled=True,
     ),
-    "scenario": _Command("run a built-in scenario", (), 0, _two_time, builtin=True),
+    "scenario": _Command("run a built-in scenario", (), _two_time, (), builtin=True),
 }
 
 
 def _load(command: _Command, args: argparse.Namespace) -> tuple:
     """Check and load a command's (pre, post, observables, trials, seed,
-    meta); trials and seed are None unless sampling. A scenario is checked by
-    name (in the parser), then variant, then trials and seed; files by the
-    required options, then arity, then trials and seed, then each file in
-    order."""
+    meta); trials and seed are None unless sampling. The parser has checked
+    a scenario's name and a file command's required options. A scenario is
+    then checked by variant, then trials and seed; files by arity, then
+    trials and seed, then each file in order."""
     if command.builtin:
         bundle = SCENARIOS[args.scenario]()
         variant = args.variant if args.variant is not None else next(iter(bundle.variants))
         pre, post, observables = bundle.context.pre, bundle.context.post, (bundle.variant(variant),)
         meta = {"scenario": {"name": bundle.name, "variant": variant}}
-    else:
-        for name in command.states:
-            if getattr(args, name) is None:
-                raise ValidationError(f"{args.command} requires --{name}")
-        if len(args.observables) != command.observables:
-            raise ValidationError(
-                f"{args.command} requires exactly {command.observables} "
-                f"--observable argument(s), got {len(args.observables)}"
-            )
+    elif len(args.observables) != len(command.observables):
+        raise ValidationError(
+            f"{args.command} requires exactly {len(command.observables)} "
+            f"--observable argument(s), got {len(args.observables)}"
+        )
     # every command: the parser's defaults pass, and an unused value is refused
     _checked_int("trials", args.trials, 1, MAX_TRIALS)
     _checked_int("seed", args.seed, 0, MAX_SEED)
@@ -300,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "post-selected quantum measurements.",
     )
     parser.set_defaults(
-        pre=None, post=None, observables=(), scenario=None, variant=None, mc=False,
+        observables=(), variant=None, mc=False,
         trials=100000, seed=0, output_format="json", out_path=None,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -317,15 +308,17 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--mc", action="store_true", help="estimate instead of computing analytically"
             )
-        else:
-            p.add_argument("--pre", help="JSON file with the pre-selection state")
-            p.add_argument("--post", help="JSON file with the post-selection state")
+        for state in command.states:
+            p.add_argument(
+                f"--{state}", required=True, help=f"JSON file with the {state}-selection state"
+            )
+        if command.observables:
             p.add_argument(
                 "--observable",
                 action="append",
                 dest="observables",
                 metavar="PATH",
-                help=command.observable_help,
+                help="JSON file with " + ", then another with ".join(command.observables),
             )
         if command.sampled or command.builtin:
             p.add_argument("--trials", type=int)

@@ -299,10 +299,9 @@ def _range_counts(seed: int, stream: int, filters, start: int, count: int) -> np
     return np.concatenate(counts)
 
 
-def _map_ranges(fn, trials: int) -> np.ndarray:
+def _map_ranges(fn, trials: int, workers: int) -> np.ndarray:
     """Sum of fn(start, count) over one contiguous range of the trials per
     worker. The calling thread counts worker 0's range."""
-    workers = _worker_count(trials)
     if workers == 1:
         return fn(0, trials)
     edges = [trials * w // workers for w in range(workers + 1)]
@@ -315,17 +314,18 @@ def _map_ranges(fn, trials: int) -> np.ndarray:
 def _sampling_pass(
     pre: StateVector, post: StateVector, trials: int, seed: int, stream: int, *filters
 ) -> np.ndarray:
-    """Check the arguments, build the tables of each (observable or None,
-    column) filter, then count one pass over trials [0, trials) of the
-    stream: post-selected trials per branch of each filter's observable in
-    turn (one entry for a filter with none)."""
+    """Check the arguments and the thread count, build the tables of each
+    (observable or None, column) filter, then count one pass over trials
+    [0, trials) of the stream: post-selected trials per branch of each
+    filter's observable in turn (one entry for a filter with none)."""
     trials = _checked_int("trials", trials, 1, MAX_TRIALS)
     seed = _checked_int("seed", seed, 0, MAX_SEED)
+    workers = _worker_count(trials)
     tables = []
     for observable, column in filters:
         _same_dim(pre, observable, post)
         tables.append((column, *_branch_tables(pre.amplitudes, observable, post.amplitudes)[2:]))
-    return _map_ranges(partial(_range_counts, seed, stream, tables), trials)
+    return _map_ranges(partial(_range_counts, seed, stream, tables), trials, workers)
 
 
 def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats:

@@ -238,7 +238,10 @@ def test_invalid_input_error_names_the_file(capsys, tmp_path, box_files):
 def test_missing_required_inputs(capsys, box_files):
     code, _, err = _run(capsys, ["abl", "--pre", box_files["a"]])
     assert code == 2
-    assert json.loads(err)["code"] == "ValidationError"
+    assert json.loads(err) == {
+        "code": "ValidationError",
+        "message": "the following arguments are required: --post",
+    }
     code, _, err = _run(
         capsys,
         ["mc", "--pre", box_files["a"], "--post", box_files["b"], "--observable", box_files["q"], "--trials", "0"],
@@ -407,6 +410,10 @@ def _failing_argvs(command, files):
     for name in state_names:
         dropped = {key: path for key, path in states.items() if key != name}
         yield _argv(command, dropped, observables), "ValidationError"
+    # a state the command does not read is refused, not ignored
+    for name in ("pre", "post"):
+        if name not in state_names:
+            yield _argv(command, {**states, name: files["missing"]}, observables), "ValidationError"
     for replacement in ("missing", "bad", "huge", "deep", "binary"):
         for name in state_names:
             yield _argv(command, {**states, name: files[replacement]}, observables), "ParseError"

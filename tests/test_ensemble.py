@@ -688,6 +688,19 @@ def test_thread_env_var_validation():
             os.environ["ABL_ENGINE_THREADS"] = previous
 
 
+def test_thread_count_is_checked_before_any_table_is_built(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("tables built")
+
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "many")
+    monkeypatch.setattr(ensemble, "_branch_tables", no_tables)
+    ctx = three_box().context
+    with pytest.raises(ValidationError, match="^ABL_ENGINE_THREADS must be"):
+        estimate_abl(ctx, 10, 0)
+    with pytest.raises(ValidationError, match="^ABL_ENGINE_THREADS must be"):
+        estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, 10, 0)
+
+
 def test_estimate_converges_to_abl():
     ctx = three_box().context
     stats = estimate_abl(ctx, 10**5, 8)

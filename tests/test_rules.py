@@ -885,15 +885,25 @@ def test_interposition_can_go_either_way():
     assert p_with_q == pytest.approx(0.5, abs=1e-12)
 
 
+def _snapped_count(pre, obs, post):
+    """How many weights |<b|P_q|a>|^2, in plain numpy, lie in (0,
+    ZERO_PROB_TOL]: the ones the engine's snap sets to 0."""
+    weights = [abs(np.vdot(post.amplitudes, p.matrix @ pre.amplitudes)) ** 2 for p in obs.outcomes]
+    return sum(0.0 < w <= ZERO_PROB_TOL for w in weights)
+
+
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 def test_interposition_lower_bound(seed, dim):
-    # Cauchy-Schwarz gives p_direct <= K * p_with_Q for K outcomes
+    # Cauchy-Schwarz gives p_direct <= K * p_with_Q for K outcomes; each of
+    # the s weights the snap sets to 0 takes at most ZERO_PROB_TOL from
+    # p_with_Q, so the engine's values keep p_direct <= K (p_with_Q + s tol)
     rng = np.random.default_rng(seed)
     pre, post = random_state(rng, dim), random_state(rng, dim)
     obs = random_observable(rng, dim)
     p_direct, p_with_q = interposition_inequality(pre, obs, post)
-    assert p_direct <= len(obs.outcomes) * p_with_q + 1e-12
+    s = _snapped_count(pre, obs, post)
+    assert p_direct <= len(obs.outcomes) * (p_with_q + s * ZERO_PROB_TOL) + 1e-12
 
 
 def test_interposition_positivity_transfer():
@@ -922,6 +932,10 @@ def test_snap_band_can_zero_a_sum_whose_own_weight_is_not_zero():
     assert p_with_q == 0.0
     assert math.isclose(p_direct, 3.0e-12, rel_tol=1e-13)
     assert ZERO_PROB_TOL < p_direct <= 3**2 * ZERO_PROB_TOL
+    # test_interposition_lower_bound's Cauchy-Schwarz holds here only with
+    # both snapped weights put back
+    assert _snapped_count(a, q, b) == 2
+    assert 3 * p_with_q + 1e-12 < p_direct <= 3 * (p_with_q + 2 * ZERO_PROB_TOL) + 1e-12
     with pytest.raises(ImpossiblePostSelection):
         SelectionContext(a, b, q)
     assert estimate_interposition_effect(a, q, b, 2**16, 0) == (0.0, 0.0)
