@@ -57,8 +57,12 @@ class EnsembleStats:
     seed: int
 
     def __post_init__(self) -> None:
-        if min((count for _, count in self.counts), default=0) < 0:
-            raise ValidationError(f"outcome counts must be non-negative, got {dict(self.counts)}")
+        _checked_int("trials", self.trials, 1, MAX_TRIALS)
+        labels = [label for label, _ in self.counts]
+        if len(set(labels)) != len(labels):
+            raise ValidationError(f"outcome labels must be unique, got {labels}")
+        for label, count in self.counts:
+            _checked_int(f"count of outcome {label!r}", count, 0, self.trials)
         if self.accepted > self.trials:
             raise ValidationError(f"{self.accepted} accepted trials exceed {self.trials} trials")
 
@@ -264,7 +268,7 @@ def _worker_count(trials: int) -> int:
     # a run never has more workers than trials, so MAX_TRIALS bounds it
     threads = _checked_int("ABL_ENGINE_THREADS", threads, 0, MAX_TRIALS)
     cpus = os.cpu_count() or 1
-    return min(threads or min(cpus, 8), cpus, -(-trials // TRIALS_PER_WORKER))
+    return min(threads or 8, cpus, -(-trials // TRIALS_PER_WORKER))
 
 
 def _column(words: np.ndarray, c: int) -> np.ndarray:
@@ -299,25 +303,14 @@ def _range_counts(seed: int, stream: int, filters, start: int, count: int) -> np
     return np.concatenate(counts)
 
 
-def _map_ranges(fn, trials: int, workers: int) -> np.ndarray:
-    """Sum of fn(start, count) over one contiguous range of the trials per
-    worker. The calling thread counts worker 0's range."""
-    if workers == 1:
-        return fn(0, trials)
-    edges = [trials * w // workers for w in range(workers + 1)]
-    counts = [stop - start for start, stop in zip(edges, edges[1:])]
-    # map submits workers 1.. before worker 0 counts here
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        return sum(pool.map(fn, edges[1:-1], counts[1:]), fn(0, counts[0]))
-
-
 def _sampling_pass(
     pre: StateVector, post: StateVector, trials: int, seed: int, stream: int, *filters
 ) -> np.ndarray:
     """Check the arguments and the thread count, build the tables of each
     (observable or None, column) filter, then count one pass over trials
     [0, trials) of the stream: post-selected trials per branch of each
-    filter's observable in turn (one entry for a filter with none)."""
+    filter's observable in turn (one entry for a filter with none), worker
+    0's range here and each further range on a pool thread of its own."""
     trials = _checked_int("trials", trials, 1, MAX_TRIALS)
     seed = _checked_int("seed", seed, 0, MAX_SEED)
     workers = _worker_count(trials)
@@ -325,7 +318,11 @@ def _sampling_pass(
     for observable, column in filters:
         _same_dim(pre, observable, post)
         tables.append((column, *_branch_tables(pre.amplitudes, observable, post.amplitudes)[2:]))
-    return _map_ranges(partial(_range_counts, seed, stream, tables), trials, workers)
+    count = partial(_range_counts, seed, stream, tables)
+    edges = [trials * w // workers for w in range(workers + 1)]
+    sizes = [stop - start for start, stop in zip(edges, edges[1:])]
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # map submits ranges 1.. first
+        return sum(pool.map(count, edges[1:-1], sizes[1:]), count(0, sizes[0]))
 
 
 def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats:

@@ -6,15 +6,18 @@ with fixed seeds, so they are deterministic.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import born_chain, random_context, random_observable, random_state
 
+import abl_engine
 from abl_engine import (
     Observable,
     Projector,
@@ -251,8 +254,13 @@ def test_seeded_monte_carlo_reports_are_byte_identical():
         "--seed",
         "42",
     ]
-    first = subprocess.run(argv, capture_output=True, timeout=300)
-    second = subprocess.run(argv, capture_output=True, timeout=300)
+    # the child imports the same package as this process, from a plain checkout too
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(abl_engine.__file__).resolve().parents[1]), env.get("PYTHONPATH")])
+    )
+    first = subprocess.run(argv, capture_output=True, timeout=300, env=env)
+    second = subprocess.run(argv, capture_output=True, timeout=300, env=env)
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout

@@ -441,7 +441,7 @@ def test_trial_count_is_checked_before_any_work(capsys, box_files, monkeypatch):
     def no_work(*args):
         raise AssertionError("sampling started")
 
-    monkeypatch.setattr(ensemble, "_map_ranges", no_work)
+    monkeypatch.setattr(ensemble, "_range_counts", no_work)
     files = ["--pre", box_files["a"], "--post", box_files["b"], "--observable", box_files["q"]]
     for trials in ("0", "100000000000000000000", str(ensemble.MAX_TRIALS + 1)):
         for argv in (

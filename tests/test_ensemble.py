@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -588,6 +589,29 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     assert _worker_count(10**9) == min(cpus, 8)
 
 
+def test_a_pass_starts_one_thread_per_extra_worker(monkeypatch):
+    # the calling thread counts the first range, so one worker starts none
+    started = []
+    start = threading.Thread.start
+
+    def counted_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    ctx = three_box().context
+    trials = 2 * TRIALS_PER_WORKER + 1
+    for threads in ("1", "3"):
+        monkeypatch.setenv("ABL_ENGINE_THREADS", threads)
+        for run in (
+            lambda: estimate_abl(ctx, trials, 0),
+            lambda: estimate_interposition_effect(ctx.pre, ctx.intervening, ctx.post, trials, 0),
+        ):
+            started.clear()
+            run()
+            assert len(started) == _worker_count(trials) - 1, threads
+
+
 def test_estimate_memory_does_not_grow_with_trials(monkeypatch):
     # drawing 2**16 trials' draws at once peaks near 4 MiB of draws and
     # temporaries; one 512 KiB sub-batch of words and its masks peak near
@@ -756,7 +780,7 @@ def test_trial_count_is_checked_before_any_work(monkeypatch):
     def no_work(*args):
         raise Started
 
-    monkeypatch.setattr(ensemble, "_map_ranges", no_work)
+    monkeypatch.setattr(ensemble, "_range_counts", no_work)
     ctx = three_box().context
     for trials in (10**20, ensemble.MAX_TRIALS + 1):
         with pytest.raises(ValidationError):
@@ -985,8 +1009,19 @@ def test_chaining_two_observables_matches_path_enumeration():
 def test_ensemble_stats_validation():
     # the record holds counts; every other value is derived from them, so
     # counts that no sampler gives are refused before anything derives
-    with pytest.raises(ValidationError, match="^outcome counts must be non-negative"):
+    with pytest.raises(ValidationError, match="^count of outcome 'a' must be in 0..10, got -1"):
         EnsembleStats(10, (("a", -1), ("b", 3)), 0)
+    for count in (1.5, True):
+        with pytest.raises(ValidationError, match="^count of outcome 'a' must be an integer"):
+            EnsembleStats(10, (("a", count),), 0)
+    # no trial at all: refused, not a bare ZeroDivisionError from acceptance_rate
+    with pytest.raises(ValidationError, match="^trials must be in 1.."):
+        EnsembleStats(0, (("a", 0),), 0)
+    for trials in (1.5, True):
+        with pytest.raises(ValidationError, match="^trials must be an integer"):
+            EnsembleStats(trials, (("a", 1),), 0)
+    with pytest.raises(ValidationError, match="^outcome labels must be unique"):
+        EnsembleStats(10, (("a", 1), ("a", 2)), 0)
     with pytest.raises(ValidationError, match="^11 accepted trials exceed 10 trials"):
         EnsembleStats(10, (("a", 7), ("b", 4)), 0)
     assert EnsembleStats(10, (("a", 6), ("b", 4)), 0).acceptance_rate == 1.0
