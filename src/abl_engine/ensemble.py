@@ -58,6 +58,7 @@ class EnsembleStats:
 
     def __post_init__(self) -> None:
         _checked_int("trials", self.trials, 1, MAX_TRIALS)
+        _checked_int("seed", self.seed, 0, MAX_SEED)
         labels = [label for label, _ in self.counts]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"outcome labels must be unique, got {labels}")
@@ -85,12 +86,6 @@ class EnsembleStats:
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.trials
-
-    def frequency(self, label: str) -> float:
-        return dict(self.frequencies)[label]
-
-    def std_error(self, label: str) -> float:
-        return dict(self.std_errors)[label]
 
 
 # ---------------------------------------------------------------------------
@@ -157,17 +152,16 @@ def _branch_tables(psi: np.ndarray, observable: Observable | None, post: np.ndar
     p_k = ||P_k psi||^2, the bounds on m that _branch_index takes, and
     each branch's acceptance bound. A branch passes the post-selection with
     t_k, its snapped transition weight over p_k (0 if never drawn); the
-    bound is the _raw_bound of the first entry of the closed cumulative
-    of the binary filter {t_k, 1 - t_k}. With no observable, psi is the one
-    branch, taken with p = 1."""
+    bound is the _raw_bound of t_k snapped, or of 1 where 1 - t_k snaps: the
+    closed cumulative of {t_k, 1 - t_k} starts there, as t_k + fl(1 - t_k)
+    rounds to exactly 1. With no observable, psi is the one branch, p = 1."""
     if observable is None:
         projected, probs = [psi], np.ones(1)
     else:
         projected, probs = _projections(psi, observable)
     weights = np.array(_transition_weights(psi, observable, post))
     t = np.divide(weights, probs, out=np.zeros(len(probs)), where=probs > 0.0)
-    passes, fails = _snap(t), _snap(1.0 - t)
-    accept_from = _raw_bound(np.where(fails == 0.0, 1.0, passes / (passes + fails)))
+    accept_from = _raw_bound(np.where(_snap(1.0 - t) == 0.0, 1.0, _snap(t)))
     rising = _raw_bound(_closed_cumulative(probs)[:-1][::-1])
     return projected, probs, rising, accept_from
 

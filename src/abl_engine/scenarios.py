@@ -17,17 +17,15 @@ from typing import Mapping
 import numpy as np
 
 from .core import (
-    ZERO_PROB_TOL,
+    NORM_TOL,
     Observable,
     Projector,
     StateVector,
     basis_state,
-    inner,
+    born_prob_pure,
 )
 from .errors import InvalidDirection, ValidationError
 from .rules import SelectionContext
-
-DIRECTION_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -120,7 +118,7 @@ def _unit_direction(direction, what: str) -> tuple[float, float, float]:
     if vec.shape != (3,) or not np.all(np.isfinite(vec)):
         raise InvalidDirection(f"{what} must be a finite 3-vector")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > DIRECTION_NORM_TOL:
+    if abs(norm - 1.0) > NORM_TOL:
         raise InvalidDirection(f"{what} must be a unit vector, got norm {norm}")
     return float(vec[0]), float(vec[1]), float(vec[2])
 
@@ -174,14 +172,13 @@ def spin_half(
         ExpectedValue("down_c", n_down / total, "closed-form two-time value, down along c"),
         ExpectedValue("marginal", total, "post-selection rate with the c component measured"),
     )
-    direct = abs(inner(pre, post)) ** 2
     notes = ("orthogonal_pre_post: post-selection needs the interposition",)
     return ScenarioBundle(
         name="spin-half",
         context=SelectionContext(pre, post, sigma_c),
         variants={"sigma_c": sigma_c},
         expected=expected,
-        notes=notes if direct <= ZERO_PROB_TOL else (),
+        notes=notes if born_prob_pure(pre, post) == 0.0 else (),
     )
 
 

@@ -1,6 +1,5 @@
 """Monte Carlo verifier: determinism, loop/vector equivalence, statistics."""
 
-import itertools
 import math
 import os
 import threading
@@ -57,6 +56,7 @@ from abl_engine.ensemble import (
 )
 from abl_engine.rules import _transition_weights
 from conftest import (
+    _assert_law_is_abl,
     random_context,
     random_observable,
     random_state,
@@ -136,8 +136,13 @@ def test_accept_bounds_close_the_binary_filter(monkeypatch):
     rng = np.random.default_rng(5)
     ulp = 2.0**-52
     special = [0.0, 1.0, 1.0 - ulp / 2, 1.0 + ulp, 1.0 - 1e-12, 1.0 - 2e-12, 1e-12, 2e-12, 2.0**-53]
+    # 1 - t inexact, or t + (1 - t) near a rounding tie
+    inexact = [0.1, 1.0 / 3.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]
+    inexact += [1.0 - 2.0**-53, 1.0 + 2.0**-51]
+    uniform = rng.random(20)
+    near_snap = 10.0 ** rng.uniform(-13.0, -11.0, 20)
     psi = basis_state(2, 0).amplitudes
-    for t in [*special, *rng.random(20)]:
+    for t in [*special, *inexact, *near_snap, *uniform]:
         monkeypatch.setattr(ensemble, "_transition_weights", lambda *args: (t,))
         (bound,) = _branch_tables(psi, None, psi)[3]
         v = _closed_cumulative(_snap(np.array([t, 1.0 - t])))[0]
@@ -432,78 +437,6 @@ def test_run_trial_takes_at_most_one_block():
         assert len(draws.draws) == DRAWS_PER_BLOCK  # refused before any draw
 
 
-# The exact law of the sampler. A draw m is uniform on [0, 2**53), and every
-# bound q the kernels compare it with is an integer, so P(m < q) = q * 2**-53
-# exactly: the chance that a trial takes branch k and passes the
-# post-selection is a dyadic rational read off the tables without a single
-# draw.
-
-# |law_k - abl_k * sum(law)| in units of 2**-53: the branch's two bounds and
-# its acceptance bound each lose less than one unit to their floors, plus the
-# rounding of the cumulative sum. Dividing by sum(law), the acceptance rate,
-# scales the same bound up for law_k / sum(law). A path through two
-# observables multiplies two branch widths, each below 1, and its
-# acceptance; over 300 random contexts at d = 2..16 the worst path was off
-# by 1.2 units.
-LAW_ULPS = 4
-
-
-def _exact_law(pre, observables, post):
-    """{path: the chance that run_trial takes this path of branches and
-    passes the post-selection}, for amplitude arrays pre and post, by
-    run_trial's walk: the product of each branch's width between its rising
-    bounds, from the normalized projected state the path has reached, times
-    the last branch's acceptance. Paths through a branch never drawn are left
-    out."""
-    law = {}
-
-    def walk(psi, path, taken):
-        projected, probs, rising, accept_from = _branch_tables(psi, observables[len(path)], post)
-        assert rising.dtype == accept_from.dtype == np.uint64
-        rising = [Fraction(int(b), 2**53) for b in rising]
-        accept_from = [Fraction(int(b), 2**53) for b in accept_from]
-        # the branch is the number of rising bounds above m, so branch j owns
-        # [edges[k - 1 - j], edges[k - j]) * 2**53; acceptance needs m >= its
-        # bound
-        edges = [Fraction(0), *rising, Fraction(1)]
-        k = len(accept_from)
-        for j, a in enumerate(accept_from):
-            width = taken * (edges[k - j] - edges[k - 1 - j])
-            if len(path) + 1 == len(observables):
-                law[path + (j,)] = width * (1 - a)
-            elif width:
-                walk(projected[j] / np.sqrt(probs[j]), path + (j,), width)
-
-    walk(pre, (), Fraction(1))
-    return law
-
-
-def _assert_law_is_abl(ctx, *later):
-    """run_trial's exact law through ctx's observable, then each later one,
-    normalized over the paths, is the ABL distribution of ctx for one
-    observable, and for more the path weights |<b|P_kn ... P_k1|a>|^2 of
-    path enumeration, normalized."""
-    observables = [ctx.intervening, *later]
-    law = _exact_law(ctx.pre.amplitudes, observables, ctx.post.amplitudes)
-    expected = {(j,): value for j, (_, value) in enumerate(abl(ctx).entries)}
-    if later:
-        weights = {}
-        for path in itertools.product(*(range(len(obs.outcomes)) for obs in observables)):
-            v = ctx.pre.amplitudes
-            for obs, j in zip(observables, path):
-                v = obs.outcomes[j].matrix @ v
-            weights[path] = abs(np.vdot(ctx.post.amplitudes, v)) ** 2
-        expected = {path: w / sum(weights.values()) for path, w in weights.items()}
-    total = sum(law.values())
-    for path, value in expected.items():
-        weight = law.get(path, 0)
-        if value == 0.0 or not later:
-            # a path the oracle rules out is never counted; for one observable
-            # the snapped ABL zeros are exactly the paths never counted
-            assert (weight == 0) == (value == 0.0), path
-        assert abs(weight / total - Fraction(value)) <= LAW_ULPS * Fraction(1, 2**53) / total, path
-
-
 LAW_CONTEXTS = {
     **{f"three-box-{name}": three_box().context_for(name) for name in tuple(three_box().variants)},
     "spin-half": spin_half().context,
@@ -729,8 +662,9 @@ def test_estimate_converges_to_abl():
     ctx = three_box().context
     stats = estimate_abl(ctx, 10**5, 8)
     analytic = abl(ctx)
+    frequencies, std_errors = dict(stats.frequencies), dict(stats.std_errors)
     for label in analytic.labels:
-        assert abs(stats.frequency(label) - analytic[label]) <= 5 * stats.std_error(label)
+        assert abs(frequencies[label] - analytic[label]) <= 5 * std_errors[label]
     marginal = marginal_with_Q(ctx)
     se = math.sqrt(marginal * (1 - marginal) / stats.trials)
     assert abs(stats.acceptance_rate - marginal) <= 5 * se
@@ -738,8 +672,9 @@ def test_estimate_converges_to_abl():
 
 def test_estimate_certainty_is_exact():
     stats = estimate_abl(three_box().context_for("QA"), 10**5, 13)
-    assert stats.frequency("A") == 1.0
-    assert stats.frequency("B∪C") == 0.0
+    frequencies = dict(stats.frequencies)
+    assert frequencies["A"] == 1.0
+    assert frequencies["B∪C"] == 0.0
     assert abs(stats.acceptance_rate - 1.0 / 9.0) < 5 * math.sqrt((1 / 9) * (8 / 9) / 10**5)
 
 
@@ -753,7 +688,7 @@ def test_estimate_q_equals_a_gives_frequency_one():
     post = random_state(rng, 3)
     ctx = SelectionContext(a, post, Observable((pa, rest)))
     stats = estimate_abl(ctx, 20000, 3)
-    assert stats.frequency("mine") == 1.0
+    assert dict(stats.frequencies)["mine"] == 1.0
 
 
 def test_no_accepted_trials():
@@ -1024,6 +959,10 @@ def test_ensemble_stats_validation():
         EnsembleStats(10, (("a", 1), ("a", 2)), 0)
     with pytest.raises(ValidationError, match="^11 accepted trials exceed 10 trials"):
         EnsembleStats(10, (("a", 7), ("b", 4)), 0)
+    # the seed is one 64-bit word of the Philox key, and the CLI prints it
+    for seed in (-1, 1.5, True, 2**64):
+        with pytest.raises(ValidationError, match="^seed must be"):
+            EnsembleStats(10, (("a", 1),), seed)
     assert EnsembleStats(10, (("a", 6), ("b", 4)), 0).acceptance_rate == 1.0
     stats = EnsembleStats(10, (("a", 3), ("b", 1), ("c", 0)), 1)
     assert stats.accepted == 4
@@ -1031,8 +970,8 @@ def test_ensemble_stats_validation():
     assert stats.frequencies == (("a", 0.75), ("b", 0.25), ("c", 0.0))
     # sqrt(3/4 * 1/4 / 4) = sqrt(3) / 8, correctly rounded either way
     assert stats.std_errors == (("a", math.sqrt(3) / 8), ("b", math.sqrt(3) / 8), ("c", 0.0))
-    assert stats.frequency("b") == 0.25
-    assert stats.std_error("c") == 0.0
+    assert dict(stats.frequencies)["b"] == 0.25
+    assert dict(stats.std_errors)["c"] == 0.0
     certain = EnsembleStats(7, (("a", 7),), 2)
     assert (certain.frequencies, certain.std_errors) == ((("a", 1.0),), (("a", 0.0),))
     # no accepted trial: the same typed error as estimate_abl, not 0 / 0

@@ -39,6 +39,7 @@ from abl_engine import (
     trivial_observable,
 )
 from conftest import (
+    _assert_law_is_abl,
     born_chain,
     random_context,
     random_observable,
@@ -629,6 +630,8 @@ def test_snap_audit_of_the_interposition_identities():
                     SelectionContext(pre, post, q)
                 continue
             ctx = SelectionContext(pre, post, q)
+            # the sampler's exact law is the ABL distribution in the band too
+            _assert_law_is_abl(ctx)
             if p_direct == 0.0:
                 # the direct weight snapped: the rule is undefined although
                 # the exact one is not

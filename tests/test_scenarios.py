@@ -99,6 +99,12 @@ def test_spin_half_orthogonal_pre_post_is_flagged():
     assert any("orthogonal_pre_post" in note for note in bundle.notes)
     dist = abl(bundle.context)
     assert dist["up_c"] == pytest.approx(0.5, abs=1e-12)
+    # the note follows the engine's snap: post at polar angle pi - eps from
+    # +z has |<a|b>|^2 = sin^2(eps / 2) = w, flagged at or below 1e-12 only
+    for w, flagged in ((0.9e-12, True), (1.0e-12, True), (1.1e-12, False)):
+        eps = 2.0 * math.asin(math.sqrt(w))
+        bundle = spin_half(b_dir=(math.sin(eps), 0.0, -math.cos(eps)))
+        assert any("orthogonal_pre_post" in note for note in bundle.notes) == flagged, w
 
 
 def test_spin_half_continuity_in_c_direction():
