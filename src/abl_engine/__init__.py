@@ -50,7 +50,6 @@ from .errors import (
     ValidationError,
 )
 from .rules import (
-    COND_TOL,
     DecompositionReport,
     OutcomeDecomposition,
     ProbabilityDistribution,

@@ -9,6 +9,7 @@ so no propagator exists here.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
 
@@ -89,10 +90,8 @@ class Projector:
         _checked_int("projector dimension", arr.shape[0], 1, MAX_DIM)
         if not np.isfinite(arr).all():
             raise ValidationError("projector entries must be finite")
-        if np.abs(arr - arr.conj().T).max() > NORM_TOL:
-            raise ValidationError("projector must be Hermitian within tolerance")
-        if np.abs(arr @ arr - arr).max() > NORM_TOL:
-            raise ValidationError("projector must be idempotent within tolerance")
+        _check_within("projector must be Hermitian", "|P - P^H|", arr - arr.conj().T)
+        _check_within("projector must be idempotent", "|P^2 - P|", arr @ arr - arr)
         if not isinstance(self.label, str):
             raise ValidationError("projector label must be a string")
         object.__setattr__(self, "matrix", _freeze(arr))
@@ -123,15 +122,11 @@ class Observable:
             raise ValidationError("outcome labels must be nonempty")
         if len(set(labels)) != len(labels):
             raise ValidationError("outcome labels must be unique")
-        for j in range(len(outcomes)):
-            for k in range(j + 1, len(outcomes)):
-                if np.abs(outcomes[j].matrix @ outcomes[k].matrix).max() > NORM_TOL:
-                    raise ValidationError(
-                        f"projectors {labels[j]!r} and {labels[k]!r} are not orthogonal"
-                    )
-        total = sum(p.matrix for p in outcomes)
-        if np.abs(total - np.eye(dim)).max() > NORM_TOL:
-            raise ValidationError("outcome projectors must sum to the identity")
+        for p, q in itertools.combinations(outcomes, 2):
+            what = f"projectors {p.label!r} and {q.label!r} must be orthogonal"
+            _check_within(what, "|P_j P_k|", p.matrix @ q.matrix)
+        gap = sum(p.matrix for p in outcomes) - np.eye(dim)
+        _check_within("outcome projectors must sum to the identity", "|sum - I|", gap)
         object.__setattr__(self, "outcomes", outcomes)
 
     @property
@@ -170,6 +165,13 @@ def _checked_int(name: str, value, low: int, high: int) -> int:
     if not low <= value <= high:
         raise ValidationError(f"{name} must be in {low}..{high}, got {value}")
     return int(value)
+
+
+def _check_within(what: str, measure: str, deviation, error=ValidationError) -> None:
+    """Refuse `what` unless max |deviation| is within NORM_TOL, naming both."""
+    largest = float(np.abs(deviation).max())
+    if largest > NORM_TOL:
+        raise error(f"{what} within {NORM_TOL}: max {measure} is {largest}")
 
 
 def _same_dim(*objects) -> None:

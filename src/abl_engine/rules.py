@@ -8,12 +8,22 @@ are first-class everywhere; the rank-1 forms are special cases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .core import NORM_TOL, Observable, StateVector, _same_dim, _snap, _snapped_weights
+from .core import (
+    NORM_TOL,
+    ZERO_PROB_TOL,
+    Observable,
+    StateVector,
+    _check_within,
+    _same_dim,
+    _snap,
+    _snapped_weights,
+)
 from .errors import (
     DegeneratePostObservable,
     ImpossiblePostSelection,
@@ -21,8 +31,6 @@ from .errors import (
     OrthogonalPrePost,
     ValidationError,
 )
-
-COND_TOL = 1e-9  # decomposition validity conditions
 
 WhichCondition = Literal["Q_equals_A", "Q_equals_B", "interference_term_zero", "none"]
 
@@ -99,7 +107,7 @@ class ProbabilityDistribution(_LabeledValues):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"probability for {label!r} is outside [0, 1]")
         total = sum(value for _, value in self.entries)
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > NORM_TOL:
             raise ValidationError(f"probabilities sum to {total}, not 1")
 
 
@@ -210,7 +218,8 @@ def kastner(ctx: SelectionContext) -> WeightAssignment:
     (denominator,) = _transition_weights(ctx.pre.amplitudes, None, ctx.post.amplitudes)
     if denominator == 0.0:
         raise OrthogonalPrePost(
-            "the direct weight |<a|b>|^2 snapped to 0 (at or below 1e-12); rule undefined"
+            f"the direct weight |<a|b>|^2 snapped to 0 (at or below {ZERO_PROB_TOL});"
+            " rule undefined"
         )
     return WeightAssignment(
         tuple(
@@ -229,7 +238,7 @@ def decomposition_check(
     rhs = sum_i [p(q_j,b_i|a) / p(b_i|a,Q)] p(b_i|a), an identity only
     under specific conditions: the pre-state is an eigenket of the
     observable (Q_equals_A), every post ket is (Q_equals_B), or all
-    interference cross-terms vanish (interference_term_zero).
+    interference cross-terms snap to 0 (interference_term_zero).
     """
     _same_dim(pre, q, b_obs)
     if len(b_obs.outcomes) < 2 or any(p.rank != 1 for p in b_obs.outcomes):
@@ -273,11 +282,11 @@ def decomposition_check(
     ):
         which = "Q_equals_B"
     else:
-        # interference terms Re <P_j a|B_i|P_k a> = Re(conj(amp_ij) amp_ik), j != k
-        cross = (amp.conj()[:, :, None] * amp[:, None, :]).real
-        off_diagonal = ~np.eye(len(projected), dtype=bool)
-        interfering = (np.abs(cross[:, off_diagonal]) > COND_TOL).any()
-        which = "none" if interfering else "interference_term_zero"
+        # interference terms Re <P_j a|B_i|P_k a> = Re(conj(amp_ij) amp_ik), snapped
+        # as a probability is; the term for (k, j) equals the one for (j, k)
+        j, k = np.triu_indices(len(projected), 1)
+        cross = (amp[:, j].conj() * amp[:, k]).real
+        which = "none" if _snap(np.abs(cross)).any() else "interference_term_zero"
     return DecompositionReport(rows, which)
 
 
@@ -309,17 +318,14 @@ def product_rule_check(
 
     Each observable's designated value (its first outcome unless a label is
     given) gets an ABL probability from its own context; the report flags a
-    violation when both probabilities are one yet the product of the
-    designated projectors is the zero operator.
+    violation when both probabilities are exactly 1 (every other weight
+    snapped to 0) yet the product of the designated projectors is zero.
     """
     _same_dim(pre, post, x, y)
-    for p in x.outcomes:
-        for q in y.outcomes:
-            commutator = p.matrix @ q.matrix - q.matrix @ p.matrix
-            if np.abs(commutator).max() > NORM_TOL:
-                raise NonCommutingObservables(
-                    f"projectors {p.label!r} and {q.label!r} do not commute"
-                )
+    for p, q in itertools.product(x.outcomes, y.outcomes):
+        what = f"projectors {p.label!r} and {q.label!r} must commute"
+        commutator = p.matrix @ q.matrix - q.matrix @ p.matrix
+        _check_within(what, "|PQ - QP|", commutator, NonCommutingObservables)
     x_label = x.labels[0] if x_label is None else x_label
     y_label = y.labels[0] if y_label is None else y_label
     px, py = x.projector(x_label), y.projector(y_label)
@@ -328,9 +334,7 @@ def product_rule_check(
     product = px.matrix @ py.matrix
     product_norm = float(np.abs(product).max())
     product_is_zero = product_norm <= NORM_TOL
-    violation = (
-        x_prob >= 1.0 - COND_TOL and y_prob >= 1.0 - COND_TOL and product_is_zero
-    )
+    violation = x_prob == 1.0 and y_prob == 1.0 and product_is_zero
     return ProductRuleReport(
         x_label=x_label,
         y_label=y_label,

@@ -128,16 +128,10 @@ def _spin_kets(direction) -> tuple[np.ndarray, np.ndarray]:
     with zero phase at the +z pole; the minus eigenket is the plus eigenket
     of the antipodal direction up to that convention."""
     x, y, z = direction
-    theta = math.acos(min(1.0, max(-1.0, z)))
-    phi = math.atan2(y, x)
-    up = np.array(
-        [math.cos(theta / 2.0), cmath.exp(1j * phi) * math.sin(theta / 2.0)],
-        dtype=complex,
-    )
-    down = np.array(
-        [math.sin(theta / 2.0), -cmath.exp(1j * phi) * math.cos(theta / 2.0)],
-        dtype=complex,
-    )
+    half = math.acos(min(1.0, max(-1.0, z))) / 2.0
+    phase = cmath.exp(1j * math.atan2(y, x))
+    up = np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
+    down = np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
     return up, down
 
 

@@ -62,6 +62,14 @@ def observable_json(observable: Observable) -> dict:
     return {"dim": observable.dim, "outcomes": outcomes}
 
 
+def _sylvester_hadamard(dim):
+    """Rows of the dim x dim Sylvester-Hadamard matrix, entries +-1."""
+    rows = np.ones((1, 1), dtype=int)
+    while len(rows) < dim:
+        rows = np.block([[rows, rows], [rows, -rows]])
+    return rows.tolist()
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return StateVector(vec / np.linalg.norm(vec))

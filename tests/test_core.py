@@ -1,6 +1,9 @@
 """Core primitives: construction invariants, the Born rule, collapse, JSON."""
 
 import math
+import re
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +95,52 @@ def test_projector_invariants():
     ):
         with pytest.raises(ValidationError):
             Projector(matrix, label)
+
+
+def test_refusals_name_the_deviation_and_the_tolerance():
+    up = Projector(np.diag([1.0, 0.0]).astype(complex), "up")
+    for build, message in (
+        (
+            lambda: Projector(np.array([[1.0, 3e-10], [0.0, 0.0]]), "skew"),
+            "projector must be Hermitian within 1e-10: max |P - P^H| is 3e-10",
+        ),
+        (
+            lambda: Projector(0.5 * np.eye(2), "half"),
+            "projector must be idempotent within 1e-10: max |P^2 - P| is 0.25",
+        ),
+        (
+            lambda: Observable((up, Projector(np.diag([1.0, 0.0]).astype(complex), "up2"))),
+            "projectors 'up' and 'up2' must be orthogonal within 1e-10: max |P_j P_k| is 1.0",
+        ),
+        (
+            lambda: Observable((up,)),
+            "outcome projectors must sum to the identity within 1e-10: max |sum - I| is 1.0",
+        ),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+    # just inside the tolerance, each check passes
+    Projector(np.array([[1.0, 1e-10], [0.0, 0.0]]), "skew")
+
+
+def test_tolerances_are_written_once():
+    # every e-notation float in the package's code and strings is one of
+    # core.py's three tolerance definitions; other code names the constant
+    import abl_engine
+
+    e_float = re.compile(r"(?<![\w.])\d+(\.\d*)?[eE][-+]?\d+")
+    kinds = {tokenize.NUMBER, tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+    found = []
+    for path in sorted(Path(abl_engine.__file__).parent.glob("*.py")):
+        with path.open("rb") as source:
+            for token in tokenize.tokenize(source.readline):
+                if token.type in kinds and e_float.search(token.string):
+                    found.append((path.name, token.start[0], token.line.split()[:2]))
+    assert [(name, words) for name, _, words in found] == [
+        ("core.py", ["NORM_TOL", "="]),
+        ("core.py", ["ZERO_PROB_TOL", "="]),
+        ("core.py", ["RANK_TOL", "="]),
+    ], found
 
 
 def test_observable_invariants():
@@ -343,9 +392,9 @@ def test_more_outcomes_than_dim_are_refused_before_any_span_is_read():
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 55
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 54
     assert set(abl_engine.__all__) == {
-        "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL", "COND_TOL",
+        "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL",
         "StateVector", "Projector", "Observable", "basis_state",
         "trivial_observable", "inner", "projector_from_span", "born_prob_pure",
         "state_from_json", "observable_from_json", "SelectionContext", "ProbabilityDistribution",

@@ -1,5 +1,6 @@
 """Monte Carlo verifier: determinism, loop/vector equivalence, statistics."""
 
+import hashlib
 import math
 import os
 import threading
@@ -57,6 +58,7 @@ from abl_engine.ensemble import (
 from abl_engine.rules import _transition_weights
 from conftest import (
     _assert_law_is_abl,
+    _sylvester_hadamard,
     random_context,
     random_observable,
     random_state,
@@ -629,6 +631,67 @@ def test_estimate_independent_of_thread_count():
             os.environ["ABL_ENGINE_THREADS"] = previous
     assert serial.frequencies == threaded.frequencies
     assert serial.accepted == threaded.accepted
+
+
+def _fixed_tables(k):
+    """Integer tables for k branches, from integer arithmetic alone: k - 1
+    ascending branch bounds in (0, 2**53), and k acceptance bounds in
+    [0, 2**53] that include 0 (always accept) and 2**53 (never) from k = 3."""
+    step = 2**53 // k
+    rising = [step * (j + 1) + j * 0x9E3779B1 % (step // 2) for j in range(k - 1)]
+    accept_from = [(j + 1) * 0x9E3779B97F4A7C15 % (2**53 + 1) for j in range(k)]
+    if k >= 3:
+        accept_from[1:3] = [0, 2**53]
+    return np.array(rising, dtype=np.uint64), np.array(accept_from, dtype=np.uint64)
+
+
+def _dyadic_contexts():
+    """Coordinate-basis Q at d = 4, 16 and 64, post the Sylvester-Hadamard row
+    h_3 over sqrt(d), and pre either all ones over sqrt(d) (orthogonal to the
+    post) or the sum of h_0..h_3, normalized (entries 2 / sqrt(d) or 0, and
+    |<a|b>|^2 = 1/4). Every entry is dyadic, so every weight and table is
+    exact, whatever BLAS computes it."""
+    for dim in (4, 16, 64):
+        rows = np.array(_sylvester_hadamard(dim), dtype=complex)
+        q = Observable(
+            tuple(Projector(np.diag(np.eye(dim)[i]).astype(complex), f"q{i}") for i in range(dim))
+        )
+        post = StateVector(rows[3] / math.sqrt(dim))
+        for pre in (rows[0] / math.sqrt(dim), rows[:4].sum(axis=0) / (2 * math.sqrt(dim))):
+            yield StateVector(pre), q, post
+
+
+# SHA-256 of the seeded counts below. The sampler is bit-exact for a fixed
+# (trials, seed), so a change that moves this digest moves seeded reports
+SAMPLER_DIGEST = "3a38f7fc508e48d6d87d4ca77ea716001c87a9fe2a0de7d815cae89ee02e98b2"
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_sampler_counts_match_the_pinned_digest(threads, monkeypatch):
+    # _range_counts on fixed integer tables, on the compare path (k - 1 <= 8
+    # bounds) and the search path, then both estimators on dyadic contexts;
+    # the trial counts straddle one sub-batch and one worker's share
+    monkeypatch.setenv("ABL_ENGINE_THREADS", threads)
+    none = np.empty(0, dtype=np.uint64)
+    records = []
+    for seed, stream in ((0, 0), (2**64 - 1, 1)):
+        for trials in (1, SUB_BATCH_TRIALS - 1, SUB_BATCH_TRIALS + 1, 70001):
+            start = 0 if seed == 0 else ensemble.MAX_TRIALS - trials
+            for k in (1, 2, 3, 5, 8, 9, 12, 20, 33, 47, 64):
+                rising, accept_from = _fixed_tables(k)
+                filters = [(1, rising, accept_from), (2, none, accept_from[-1:])]
+                counts = ensemble._range_counts(seed, stream, filters, start, trials)
+                records.append(("range", seed, trials, k, counts.tolist()))
+            for pre, q, post in _dyadic_contexts():
+                try:
+                    stats = estimate_abl(SelectionContext(pre, post, q), trials, seed)
+                    records.append(("abl", seed, trials, q.dim, stats.counts))
+                except NoAcceptedTrials:
+                    records.append(("abl", seed, trials, q.dim, None))
+                rates = estimate_interposition_effect(pre, q, post, trials, seed)
+                records.append(("interposition", seed, trials, q.dim, rates))
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == SAMPLER_DIGEST
 
 
 def test_thread_env_var_validation():

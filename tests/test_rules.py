@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from abl_engine import (
 )
 from conftest import (
     _assert_law_is_abl,
+    _sylvester_hadamard,
     born_chain,
     random_context,
     random_observable,
@@ -362,11 +364,17 @@ def test_kastner_matches_abl_when_q_equals_a():
 # projectors have exact rational values, computed here from the integers alone
 
 
-def _bra_ket(b, a, indices):
-    """|<b|P|a>|^2 as an integer, for Gaussian integers given as (re, im)
-    pairs and P the coordinate projector onto the given indices."""
+def _amplitude(b, a, indices):
+    """<b|P|a> as a Gaussian integer (re, im), for Gaussian integers given as
+    (re, im) pairs and P the coordinate projector onto the given indices."""
     re = sum(b[i][0] * a[i][0] + b[i][1] * a[i][1] for i in indices)
     im = sum(b[i][0] * a[i][1] - b[i][1] * a[i][0] for i in indices)
+    return re, im
+
+
+def _bra_ket(b, a, indices):
+    """|<b|P|a>|^2 as an integer, in the same terms as _amplitude."""
+    re, im = _amplitude(b, a, indices)
     return re * re + im * im
 
 
@@ -484,14 +492,6 @@ def test_product_rule_matches_the_rational_oracle(dim):
         assert report.violation == (x_prob == y_prob == 1 and disjoint)
 
 
-def _sylvester_hadamard(dim):
-    """Rows of the dim x dim Sylvester-Hadamard matrix, entries +-1."""
-    rows = np.ones((1, 1), dtype=int)
-    while len(rows) < dim:
-        rows = np.block([[rows, rows], [rows, -rows]])
-    return rows.tolist()
-
-
 def _hadamard_post(dim):
     """The post basis |b_i> = h_i / sqrt(dim) of the Sylvester-Hadamard rows,
     as an observable and as Gaussian-integer kets h_i. Its projector entries
@@ -510,6 +510,7 @@ def _hadamard_post(dim):
 def test_decomposition_matches_the_rational_oracle():
     rng = np.random.default_rng(3000)
     refused = zeros = 0
+    conditions = set()
     for dim in (2, 4):
         b_obs, kets = _hadamard_post(dim)
         every = range(dim)
@@ -540,7 +541,27 @@ def test_decomposition_matches_the_rational_oracle():
                 _assert_matches(row.lhs, lhs)
                 _assert_matches(row.rhs, rhs)
                 zeros += (lhs == 0) + (rhs == 0)
+            # the cross terms Re(conj(amp_ij) amp_ik), j != k, times
+            # dim * norm_a are integers, so each is exactly 0 or at least
+            # 1 / (dim * norm_a). Every Hadamard ket has full support, so
+            # Q_equals_B needs a one-part Q, which Q_equals_A takes first
+            amps = [[_amplitude(h, a, part) for part in parts] for h in kets]
+            interfering = any(
+                zj[0] * zk[0] + zj[1] * zk[1]
+                for row in amps
+                for j, zj in enumerate(row)
+                for k, zk in enumerate(row)
+                if j != k
+            )
+            support = {m for m in every if a[m] != [0, 0]}
+            if any(support <= set(part) for part in parts):
+                expected = "Q_equals_A"
+            else:
+                expected = "none" if interfering else "interference_term_zero"
+            assert report.which_condition == expected
+            conditions.add(expected)
     assert refused and zeros, (refused, zeros)
+    assert conditions == {"Q_equals_A", "interference_term_zero", "none"}, conditions
 
 
 # the snap audit: the rational oracle on draws whose exact weights land in
@@ -787,6 +808,37 @@ def test_decomposition_counterexample():
     assert report.max_residual == pytest.approx(expected, abs=1e-9)
 
 
+def _givens(dim, j, angle):
+    """The rotation by angle in the (0, j) plane that turns e_0 toward e_j."""
+    g = np.eye(dim)
+    g[0, 0] = g[j, j] = math.cos(angle)
+    g[j, 0], g[0, j] = math.sin(angle), -math.sin(angle)
+    return g
+
+
+def test_decomposition_condition_is_the_snap():
+    # a = (1, t, t) normalized, Q the coordinate basis, and the final kets the
+    # columns of G01(t/2) G02(t/2). The largest cross term is about 9.9e-10,
+    # far above the 1e-12 snap, and q0's identity misses by about 3.2e-9
+    t = 4.45e-5
+    basis = _givens(3, 1, t / 2) @ _givens(3, 2, t / 2)
+    final = Observable(
+        tuple(projector_from_span([StateVector(basis[:, i])], f"b{i}") for i in range(3))
+    )
+    coordinate = Observable(
+        tuple(projector_from_span([basis_state(3, i)], f"q{i}") for i in range(3))
+    )
+    a = np.array([1.0, t, t]) / math.sqrt(1.0 + 2.0 * t * t)
+    report = decomposition_check(StateVector(a), coordinate, final)
+    assert report.which_condition == "none"
+    assert not report.conditions_hold
+    # the residual of each outcome is at most the sum of |cross_ijk| over i
+    # and j != k, with amp_ij = <b_i|P_j|a> = basis[j, i] a_j
+    amp = basis.T * a
+    cross = np.abs(amp[:, :, None] * amp[:, None, :]).sum() - (amp**2).sum()
+    assert 1e-9 < report.max_residual <= cross + 1e-15
+
+
 def test_decomposition_residual_definition():
     report = decomposition_check(basis_state(2, 0), _spin_projectors(math.pi / 4), _sigma_x_basis())
     for row in report.outcomes:
@@ -976,6 +1028,19 @@ def test_product_rule_three_box_violation():
     assert report.violation
 
 
+def test_product_rule_needs_exact_certainty():
+    # post (1 + 2e-5, 1, -1) normalized: the A∪C weight is (2e-5)^2 / 9, about
+    # 4.4e-11, above the snap, so B is possible but not certain and no
+    # violation is flagged; A∪C's weight in x is exactly 0, so A is certain
+    a, _, _, qa, qb = _boxes()
+    post = StateVector.normalized([1.0 + 2e-5, 1.0, -1.0])
+    report = product_rule_check(a, post, qa, qb)
+    assert report.x_probability == 1.0
+    assert 0.0 < 1.0 - report.y_probability < 1e-9
+    assert report.product_is_zero
+    assert not report.violation
+
+
 def test_product_rule_same_observable_no_violation():
     a, b, _, qa, _ = _boxes()
     report = product_rule_check(a, b, qa, qa)
@@ -1010,6 +1075,12 @@ def test_product_rule_rejects_noncommuting():
     plus = StateVector.normalized([1.0, 1.0])
     with pytest.raises(NonCommutingObservables):
         product_rule_check(plus, plus, _sigma_z(), _sigma_x_basis())
+    # exact sigma_x projectors: [z+, x+] has entries +-1/2, named in the refusal
+    half = np.full((2, 2), 0.5)
+    x_basis = Observable((Projector(half, "x+"), Projector(np.eye(2) - half, "x-")))
+    message = "projectors 'z+' and 'x+' must commute within 1e-10: max |PQ - QP| is 0.5"
+    with pytest.raises(NonCommutingObservables, match=f"^{re.escape(message)}$"):
+        product_rule_check(plus, plus, _sigma_z(), x_basis)
 
 
 def test_product_rule_rejects_mixed_dimensions():
