@@ -195,7 +195,7 @@ _COMMANDS = {
         "product rule check for two commuting observables",
         ("pre", "post"),
         _product_rule,
-        ("observable x", "observable y"),
+        ("observable x", "observable y; each file's first outcome is its designated value"),
     ),
     "mc": _Command(
         "Monte Carlo estimate of the two-time distribution",

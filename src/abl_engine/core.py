@@ -196,10 +196,13 @@ def projector_from_span(vectors, label: str) -> Projector:
     _same_dim(*vectors)
     stacked = np.column_stack([v.amplitudes for v in vectors])
     if len(vectors) > vectors[0].dim:
-        raise DegenerateSpan("more span vectors than the dimension allows")
-    singular = np.linalg.svd(stacked, compute_uv=False)
-    if float(singular.min()) <= RANK_TOL:
-        raise DegenerateSpan("span vectors are linearly dependent within tolerance")
+        raise DegenerateSpan(f"span has {len(vectors)} vectors, more than its dim {vectors[0].dim}")
+    smallest = float(np.linalg.svd(stacked, compute_uv=False).min())
+    if smallest <= RANK_TOL:
+        raise DegenerateSpan(
+            f"span vectors must be linearly independent within {RANK_TOL}:"
+            f" smallest singular value is {smallest}"
+        )
     q, _ = np.linalg.qr(stacked)
     matrix = q @ q.conj().T
     matrix = (matrix + matrix.conj().T) / 2.0
@@ -233,7 +236,7 @@ def born_prob_pure(psi: StateVector, q: StateVector) -> float:
 # JSON decoding: complex scalar from [re, im]
 
 
-def _complex_from_json(obj, what: str) -> complex:
+def _complex_from_json(obj) -> complex:
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
@@ -241,11 +244,11 @@ def _complex_from_json(obj, what: str) -> complex:
             isinstance(part, numbers.Real) and not isinstance(part, bool) for part in obj
         )
     ):
-        raise ParseError(f"{what} must be a two-element [re, im] array")
+        raise ParseError("amplitude must be a two-element [re, im] array")
     try:
         return complex(float(obj[0]), float(obj[1]))
     except OverflowError:
-        raise ParseError(f"{what} part is too large for a float") from None
+        raise ParseError("amplitude part is too large for a float") from None
 
 
 def _json_object(obj, what: str, key: str):
@@ -267,7 +270,7 @@ def state_from_json(obj) -> StateVector:
     dim, raw = _json_object(obj, "state", "amplitudes")
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError("state amplitudes must be a list of length dim")
-    amps = [_complex_from_json(entry, "amplitude") for entry in raw]
+    amps = [_complex_from_json(entry) for entry in raw]
     return StateVector(np.array(amps, dtype=np.complex128))
 
 

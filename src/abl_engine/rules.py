@@ -306,38 +306,30 @@ def interposition_inequality(
 
 
 def product_rule_check(
-    pre: StateVector,
-    post: StateVector,
-    x: Observable,
-    y: Observable,
-    *,
-    x_label: str | None = None,
-    y_label: str | None = None,
+    pre: StateVector, post: StateVector, x: Observable, y: Observable
 ) -> ProductRuleReport:
     """Check the product rule across two single-interposition contexts.
 
-    Each observable's designated value (its first outcome unless a label is
-    given) gets an ABL probability from its own context; the report flags a
-    violation when both probabilities are exactly 1 (every other weight
-    snapped to 0) yet the product of the designated projectors is zero.
+    Each observable's designated value, its first outcome, gets an ABL
+    probability from its own context; the report flags a violation when both
+    probabilities are exactly 1 (every other weight snapped to 0) yet the
+    product of the designated projectors is zero.
     """
     _same_dim(pre, post, x, y)
     for p, q in itertools.product(x.outcomes, y.outcomes):
         what = f"projectors {p.label!r} and {q.label!r} must commute"
         commutator = p.matrix @ q.matrix - q.matrix @ p.matrix
         _check_within(what, "|PQ - QP|", commutator, NonCommutingObservables)
-    x_label = x.labels[0] if x_label is None else x_label
-    y_label = y.labels[0] if y_label is None else y_label
-    px, py = x.projector(x_label), y.projector(y_label)
-    x_prob = abl(SelectionContext(pre, post, x))[x_label]
-    y_prob = abl(SelectionContext(pre, post, y))[y_label]
+    px, py = x.outcomes[0], y.outcomes[0]
+    x_prob = abl(SelectionContext(pre, post, x))[px.label]
+    y_prob = abl(SelectionContext(pre, post, y))[py.label]
     product = px.matrix @ py.matrix
     product_norm = float(np.abs(product).max())
     product_is_zero = product_norm <= NORM_TOL
     violation = x_prob == 1.0 and y_prob == 1.0 and product_is_zero
     return ProductRuleReport(
-        x_label=x_label,
-        y_label=y_label,
+        x_label=px.label,
+        y_label=py.label,
         x_probability=x_prob,
         y_probability=y_prob,
         product_norm=product_norm,

@@ -2,8 +2,12 @@
 
 import csv
 import hashlib
+import itertools
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from abl_engine import (
     three_box,
 )
 from abl_engine import ensemble
-from abl_engine.cli import main
+from abl_engine.cli import _COMMANDS, main
 from conftest import observable_json, state_json
 
 
@@ -487,3 +491,62 @@ def test_unreachable_pair_is_one_error_for_every_command(capsys, tmp_path):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, ""), command
         assert json.loads(err)["code"] == "ImpossiblePostSelection", command
+
+
+def test_dependent_span_in_a_file_names_the_file_and_the_singular_value(capsys, tmp_path):
+    up = state_json(basis_state(2, 0))
+    payloads = {
+        "state": up,
+        "q": {"dim": 2, "outcomes": [{"label": "up", "span": [up, up]}]},
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    state, q = str(tmp_path / "state.json"), str(tmp_path / "q.json")
+    code, out, err = _run(capsys, ["abl", "--pre", state, "--post", state, "--observable", q])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": "DegenerateSpan",
+        "message": f"{q}: span vectors must be linearly independent within 1e-10:"
+        " smallest singular value is 0.0",
+    }
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(marker: str, fence: str) -> str:
+    """The body of the first ```fence block after `marker` in README."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"```{fence}\n", text.index(marker)) + len(fence) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_scenario_example_is_what_the_cli_prints(capsys):
+    command = _readme_block("Built-in scenarios need no input files", "sh").splitlines()[0]
+    argv = shlex.split(command)
+    assert argv[0] == "abl-engine"
+    code, out, err = _run(capsys, argv[1:])
+    assert (code, err) == (0, "")
+    assert out.encode() == _readme_block("The first command prints", "json").encode()
+
+
+def test_readme_usage_and_command_table_match_the_commands():
+    text = README.read_text(encoding="utf-8")
+    usage = re.search(r"^abl-engine \{([^}]*)\} \.\.\.$", text, re.M)
+    assert usage is not None
+    assert usage.group(1).split(",") == list(_COMMANDS)
+    header = "| command | `--pre` | `--post` | `--observable` files | sampling |\n"
+    lines = text[text.index(header) + len(header):].splitlines()
+    assert set(lines[0]) == {"|", "-"}
+    rows = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[1:]):
+        name, pre, post, files, sampling = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`").split()[0]] = (pre, post, files, sampling)
+    assert list(rows) == list(_COMMANDS)
+    for name, command in _COMMANDS.items():
+        pre, post, files, sampling = rows[name]
+        for state, cell in (("pre", pre), ("post", post)):
+            assert cell == ("required" if state in command.states else "—"), (name, state)
+        count = 0 if files == "—" else int(files.split(":")[0])
+        assert count == len(command.observables), name
+        assert bool(sampling) == (command.sampled or command.builtin), name

@@ -212,6 +212,21 @@ def test_projector_from_span_rejects_degenerate_spans():
         projector_from_span([s, basis_state(3, 0), basis_state(2, 1)], "mixed")
 
 
+def test_projector_from_span_refusals_name_their_numbers():
+    s = basis_state(2, 0)
+    dependent = "span vectors must be linearly independent within 1e-10: smallest singular value is"
+    with pytest.raises(DegenerateSpan, match=f"^{re.escape(dependent)} 0.0$"):
+        projector_from_span([s, s], "dup")
+    # (1, 0) and (1, 1e-11) normalized: the smaller singular value of the
+    # pair is 1e-11 / sqrt(2) to first order
+    near = StateVector.normalized([1.0, 1e-11])
+    with pytest.raises(DegenerateSpan, match=f"^{re.escape(dependent)} ") as caught:
+        projector_from_span([s, near], "near")
+    assert float(str(caught.value).rsplit(" ", 1)[1]) == pytest.approx(1e-11 / math.sqrt(2))
+    with pytest.raises(DegenerateSpan, match=r"^span has 3 vectors, more than its dim 2$"):
+        projector_from_span([s, basis_state(2, 1), StateVector.normalized([1, 1])], "over")
+
+
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_born_rule_pure_and_trace_agree(seed, dim):

@@ -1092,15 +1092,10 @@ def test_product_rule_rejects_mixed_dimensions():
 
 
 def test_product_rule_label_overrides():
+    # the designated value is the first outcome, so listing the outcomes in
+    # reverse designates B∪C and A∪C
     a, b, _, qa, qb = _boxes()
-    report = product_rule_check(a, b, qa, qb, x_label="B∪C", y_label="A∪C")
+    report = product_rule_check(a, b, Observable(qa.outcomes[::-1]), Observable(qb.outcomes[::-1]))
     assert report.x_label == "B∪C"
     assert report.x_probability == pytest.approx(0.0, abs=1e-12)
     assert not report.violation
-
-
-@pytest.mark.parametrize("labels", [{"x_label": "nope"}, {"y_label": "nope"}])
-def test_product_rule_unknown_designated_label(labels):
-    a, b, _, qa, qb = _boxes()
-    with pytest.raises(UnknownOutcomeLabel, match="no outcome labeled 'nope'"):
-        product_rule_check(a, b, qa, qb, **labels)
