@@ -46,7 +46,6 @@ from .errors import (
     NonCommutingObservables,
     OrthogonalPrePost,
     ParseError,
-    UnknownOutcomeLabel,
     ValidationError,
 )
 from .rules import (
@@ -63,7 +62,6 @@ from .rules import (
     kastner,
     marginal_with_Q,
     product_rule_check,
-    sequential_prob,
 )
 from .scenarios import (
     SCENARIOS,

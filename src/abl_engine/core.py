@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpan,
-    DimensionMismatch,
-    ParseError,
-    UnknownOutcomeLabel,
-    ValidationError,
-)
+from .errors import DegenerateSpan, DimensionMismatch, ParseError, ValidationError
 
 NORM_TOL = 1e-10      # invariant validation (norms, Hermiticity, idempotence)
 ZERO_PROB_TOL = 1e-12  # conditioning denominators treated as zero
@@ -120,8 +114,7 @@ class Observable:
         labels = [p.label for p in outcomes]
         if any(not lbl for lbl in labels):
             raise ValidationError("outcome labels must be nonempty")
-        if len(set(labels)) != len(labels):
-            raise ValidationError("outcome labels must be unique")
+        _check_unique(labels)
         for p, q in itertools.combinations(outcomes, 2):
             what = f"projectors {p.label!r} and {q.label!r} must be orthogonal"
             _check_within(what, "|P_j P_k|", p.matrix @ q.matrix)
@@ -136,15 +129,6 @@ class Observable:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(p.label for p in self.outcomes)
-
-    def _position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise UnknownOutcomeLabel(f"no outcome labeled {label!r}") from None
-
-    def projector(self, label: str) -> Projector:
-        return self.outcomes[self._position(label)]
 
 
 def trivial_observable(dim: int) -> Observable:
@@ -172,6 +156,13 @@ def _check_within(what: str, measure: str, deviation, error=ValidationError) -> 
     largest = float(np.abs(deviation).max())
     if largest > NORM_TOL:
         raise error(f"{what} within {NORM_TOL}: max {measure} is {largest}")
+
+
+def _check_unique(labels) -> None:
+    """Refuse repeated outcome labels, listing every label in order."""
+    labels = list(labels)
+    if len(set(labels)) != len(labels):
+        raise ValidationError(f"outcome labels must be unique, got {labels}")
 
 
 def _same_dim(*objects) -> None:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Observable, StateVector, _checked_int, _same_dim, _snap
+from .core import Observable, StateVector, _check_unique, _checked_int, _same_dim, _snap
 from .errors import NoAcceptedTrials, ValidationError
 from .rules import SelectionContext, _projections, _transition_weights
 
@@ -59,9 +59,7 @@ class EnsembleStats:
     def __post_init__(self) -> None:
         _checked_int("trials", self.trials, 1, MAX_TRIALS)
         _checked_int("seed", self.seed, 0, MAX_SEED)
-        labels = [label for label, _ in self.counts]
-        if len(set(labels)) != len(labels):
-            raise ValidationError(f"outcome labels must be unique, got {labels}")
+        _check_unique(label for label, _ in self.counts)
         for label, count in self.counts:
             _checked_int(f"count of outcome {label!r}", count, 0, self.trials)
         if self.accepted > self.trials:

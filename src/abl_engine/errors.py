@@ -32,10 +32,6 @@ class DegenerateSpan(EngineError):
     """Span vectors are linearly dependent beyond the rank tolerance."""
 
 
-class UnknownOutcomeLabel(EngineError):
-    """Label does not name an outcome of the observable."""
-
-
 class ImpossiblePostSelection(EngineError):
     """The pre/post pair cannot co-occur with the given observable interposed."""
 

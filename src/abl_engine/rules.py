@@ -19,6 +19,7 @@ from .core import (
     ZERO_PROB_TOL,
     Observable,
     StateVector,
+    _check_unique,
     _check_within,
     _same_dim,
     _snap,
@@ -84,8 +85,7 @@ class _LabeledValues:
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.entries):
-            raise ValidationError(f"{type(self).__name__} labels must be unique")
+        _check_unique(self.labels)
         self._check_values()
 
     @property
@@ -116,8 +116,10 @@ class WeightAssignment(_LabeledValues):
 
     def _check_values(self) -> None:
         for label, value in self.entries:
-            if value < 0.0:
-                raise ValidationError(f"weight for {label!r} is negative")
+            if not 0.0 <= value < np.inf:
+                raise ValidationError(
+                    f"weight for {label!r} must be a finite number >= 0, got {value}"
+                )
 
     def total(self) -> float:
         return sum(value for _, value in self.entries)
@@ -165,11 +167,6 @@ class ProductRuleReport:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def sequential_prob(ctx: SelectionContext, outcome_label: str) -> float:
-    """|<a| P |b>|^2: first the labeled outcome, then the post-selection."""
-    return ctx.transition_weights[ctx.intervening._position(outcome_label)]
 
 
 def marginal_with_Q(ctx: SelectionContext) -> float:

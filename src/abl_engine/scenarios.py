@@ -114,8 +114,11 @@ def three_box() -> ScenarioBundle:
 
 
 def _unit_direction(direction, what: str) -> tuple[float, float, float]:
-    vec = np.asarray(direction, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+    try:
+        vec = np.asarray(direction, dtype=float)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.shape != (3,) or not np.all(np.isfinite(vec)):
         raise InvalidDirection(f"{what} must be a finite 3-vector")
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > NORM_TOL:

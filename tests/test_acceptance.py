@@ -104,8 +104,9 @@ def test_trivial_interposition_reduces_to_born_rule():
         state = random_state(rng, dim)
         observable = random_observable(rng, dim)
         reduced = abl_trivial_reduction(state, observable)
-        for label in reduced.labels:
-            direct = born_chain(state.amplitudes, [observable.projector(label).matrix])
+        assert reduced.labels == observable.labels
+        for label, p in zip(reduced.labels, observable.outcomes):
+            direct = born_chain(state.amplitudes, [p.matrix])
             assert abs(reduced[label] - direct) <= 1e-9
 
 

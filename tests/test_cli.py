@@ -511,6 +511,23 @@ def test_dependent_span_in_a_file_names_the_file_and_the_singular_value(capsys, 
     }
 
 
+def test_repeated_outcome_label_in_a_file_is_named(capsys, tmp_path):
+    up, down = state_json(basis_state(2, 0)), state_json(basis_state(2, 1))
+    payloads = {
+        "state": up,
+        "q": {"dim": 2, "outcomes": [{"label": "up", "span": [v]} for v in (up, down)]},
+    }
+    for name, payload in payloads.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+    state, q = str(tmp_path / "state.json"), str(tmp_path / "q.json")
+    code, out, err = _run(capsys, ["abl", "--pre", state, "--post", state, "--observable", q])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "code": "ValidationError",
+        "message": f"{q}: outcome labels must be unique, got ['up', 'up']",
+    }
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -1,5 +1,6 @@
 """Core primitives: construction invariants, the Born rule, collapse, JSON."""
 
+import ast
 import math
 import re
 import tokenize
@@ -20,7 +21,6 @@ from abl_engine import (
     Projector,
     SelectionContext,
     StateVector,
-    UnknownOutcomeLabel,
     ValidationError,
     abl,
     basis_state,
@@ -28,7 +28,6 @@ from abl_engine import (
     inner,
     observable_from_json,
     projector_from_span,
-    sequential_prob,
     state_from_json,
     trivial_observable,
 )
@@ -143,22 +142,43 @@ def test_tolerances_are_written_once():
     ], found
 
 
+def test_every_error_code_is_raised_somewhere():
+    # an EngineError subclass that no module raises, or hands to a check that
+    # raises it, is a code no caller can ever see
+    import abl_engine
+    from abl_engine import EngineError, errors
+
+    codes = {
+        name
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, EngineError) and value is not EngineError
+    }
+    used = set()
+    for path in Path(abl_engine.__file__).parent.glob("*.py"):
+        if path.name in ("errors.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                used.add(getattr(node.exc.func, "id", None))
+            elif isinstance(node, ast.Call):
+                args = [*node.args, *(keyword.value for keyword in node.keywords)]
+                used.update(arg.id for arg in args if isinstance(arg, ast.Name))
+    assert codes and codes <= used, sorted(codes - used)
+
+
 def test_observable_invariants():
     p0 = Projector(np.diag([1.0, 0.0]).astype(complex), "up")
     p1 = Projector(np.diag([0.0, 1.0]).astype(complex), "down")
     obs = Observable((p0, p1))
     assert obs.labels == ("up", "down")
-    assert obs.projector("down") is p1
-    with pytest.raises(UnknownOutcomeLabel):
-        obs.projector("sideways")
     with pytest.raises(ValidationError):
         Observable(())
     with pytest.raises(ValidationError):
         Observable((p0, Projector(np.diag([1.0, 0.0]).astype(complex), "up2")))  # not orthogonal
     with pytest.raises(ValidationError):
         Observable((p0,))  # does not sum to identity
-    with pytest.raises(ValidationError):
-        Observable((p0, Projector(np.diag([0.0, 1.0]).astype(complex), "up")))  # duplicate label
+    with pytest.raises(ValidationError, match=r"^outcome labels must be unique, got \['up', 'up'\]$"):
+        Observable((p0, Projector(np.diag([0.0, 1.0]).astype(complex), "up")))
     with pytest.raises(ValidationError):
         Observable((Projector(np.eye(2, dtype=complex), ""),))
     with pytest.raises(DimensionMismatch, match=r"dimensions differ: \[2, 2, 3\]"):
@@ -258,9 +278,10 @@ def test_born_prob_dim_mismatch():
         born_prob_pure(basis_state(2, 0), basis_state(3, 0))
 
 
-# The engine applies the Lueders collapse on state vectors: sequential_prob
-# is the Born probability of an outcome times that of the post-selection in
-# the collapsed state P psi / ||P psi||.
+# The engine applies the Lueders collapse on state vectors: the transition
+# weight of outcome k, SelectionContext.transition_weights[k], is the Born
+# probability of that outcome times that of the post-selection in the
+# collapsed state P psi / ||P psi||.
 
 
 def test_luders_collapse_onto_rank_one():
@@ -276,7 +297,7 @@ def test_luders_collapse_onto_rank_one():
     for post in ([1.0, 0.0], [1.0, 1.0], [1.0, 1.0j], [2.0, -1.0]):
         b = StateVector.normalized(post)
         expected = 0.5 * born_prob_pure(basis_state(2, 0), b)
-        assert sequential_prob(SelectionContext(plus, b, z), "up") == pytest.approx(
+        assert SelectionContext(plus, b, z).transition_weights[0] == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -294,7 +315,7 @@ def test_luders_degenerate_collapse_keeps_subspace_amplitudes():
         post_proj = np.outer(b.amplitudes, b.amplitudes.conj())
         chained = born_chain(a.amplitudes, [coarse, post_proj])
         assert chained == pytest.approx(expected, abs=1e-12)
-        assert sequential_prob(SelectionContext(a, b, obs), "B∪C") == pytest.approx(
+        assert SelectionContext(a, b, obs).transition_weights[1] == pytest.approx(
             chained, abs=1e-12
         )
 
@@ -309,9 +330,9 @@ def test_luders_idempotent_and_impossible():
     )
     # repeating the measurement reproduces its outcome with certainty
     ctx = SelectionContext(up, up, z)
-    assert sequential_prob(ctx, "up") == 1.0
+    assert ctx.transition_weights[0] == 1.0
     # an outcome of Born probability zero is never followed by anything
-    assert sequential_prob(ctx, "down") == 0.0
+    assert ctx.transition_weights[1] == 0.0
     assert abl(ctx)["down"] == 0.0
     with pytest.raises(ImpossiblePostSelection):
         SelectionContext(up, down, z)
@@ -407,20 +428,20 @@ def test_more_outcomes_than_dim_are_refused_before_any_span_is_read():
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 54
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 52
     assert set(abl_engine.__all__) == {
         "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL",
         "StateVector", "Projector", "Observable", "basis_state",
         "trivial_observable", "inner", "projector_from_span", "born_prob_pure",
         "state_from_json", "observable_from_json", "SelectionContext", "ProbabilityDistribution",
         "WeightAssignment", "OutcomeDecomposition", "DecompositionReport", "ProductRuleReport",
-        "sequential_prob", "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",
+        "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",
         "decomposition_check", "interposition_inequality", "product_rule_check",
         "TrialOutcome", "EnsembleStats", "trial_stream", "run_trial", "estimate_abl",
         "estimate_interposition_effect", "ScenarioBundle", "ExpectedValue", "three_box",
         "spin_half", "SCENARIOS", "DecompositionCase",
         "decomposition_counterexample", "EngineError", "ValidationError", "ParseError",
-        "DimensionMismatch", "DegenerateSpan", "UnknownOutcomeLabel",
+        "DimensionMismatch", "DegenerateSpan",
         "ImpossiblePostSelection", "OrthogonalPrePost", "DegeneratePostObservable",
         "NonCommutingObservables", "InvalidDirection", "NoAcceptedTrials",
     }

@@ -21,7 +21,6 @@ from abl_engine import (
     Projector,
     SelectionContext,
     StateVector,
-    UnknownOutcomeLabel,
     ValidationError,
     WeightAssignment,
     ZERO_PROB_TOL,
@@ -36,7 +35,6 @@ from abl_engine import (
     marginal_with_Q,
     product_rule_check,
     projector_from_span,
-    sequential_prob,
     trivial_observable,
 )
 from conftest import (
@@ -89,11 +87,12 @@ def test_three_box_abl_values():
 def test_three_box_sequential_and_marginals():
     a, b, full, qa, _ = _boxes()
     ctx = SelectionContext(a, b, full)
-    for label in "ABC":
-        assert abs(sequential_prob(ctx, label) - 1.0 / 9.0) < 1e-12
+    for weight in ctx.transition_weights:
+        assert abs(weight - 1.0 / 9.0) < 1e-12
     assert abs(marginal_with_Q(ctx) - 1.0 / 3.0) < 1e-12
     ctx_a = SelectionContext(a, b, qa)
-    assert sequential_prob(ctx_a, "B∪C") < 1e-12
+    assert ctx_a.intervening.labels[1] == "B∪C"
+    assert ctx_a.transition_weights[1] < 1e-12
     assert abs(marginal_with_Q(ctx_a) - 1.0 / 9.0) < 1e-12
 
 
@@ -161,27 +160,24 @@ def test_context_builds_iff_abl_succeeds(e, group_of):
         assert dist[label] == pytest.approx(w / sum(snapped), rel=1e-9)
 
 
-def test_sequential_prob_unknown_label():
-    a, b, full, _, _ = _boxes()
-    ctx = SelectionContext(a, b, full)
-    with pytest.raises(UnknownOutcomeLabel):
-        sequential_prob(ctx, "D")
-
-
 def test_distribution_and_weight_validation():
     with pytest.raises(ValidationError):
         ProbabilityDistribution((("a", 0.5), ("b", 0.6)))
     with pytest.raises(ValidationError):
         ProbabilityDistribution((("a", -0.1), ("b", 1.1)))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"^outcome labels must be unique, got \['a', 'a'\]$"):
         ProbabilityDistribution((("a", 0.5), ("a", 0.5)))
     dist = ProbabilityDistribution((("a", 0.25), ("b", 0.75)))
     assert dist.labels == ("a", "b")
     assert dist.as_dict() == {"a": 0.25, "b": 0.75}
     with pytest.raises(KeyError):
         dist["c"]
-    with pytest.raises(ValidationError):
-        WeightAssignment((("a", -0.5),))
+    for value in (-0.5, float("nan"), float("inf"), -float("inf")):
+        message = f"^weight for 'a' must be a finite number >= 0, got {value}$"
+        with pytest.raises(ValidationError, match=message):
+            WeightAssignment((("a", value),))
+    with pytest.raises(ValidationError, match=r"^outcome labels must be unique, got \['a', 'a'\]$"):
+        WeightAssignment((("a", 1.0), ("a", 2.0)))
     w = WeightAssignment((("a", 1.5), ("b", 2.0)))
     assert w.total() == 3.5
     assert w["b"] == 2.0
@@ -218,15 +214,14 @@ def test_global_phase_invariance(seed, dim, phase):
     for label in base.labels:
         assert base[label] == pytest.approx(spun[label], abs=1e-9)
     assert kastner(ctx).total() == pytest.approx(kastner(rotated).total(), abs=1e-9)
-    lbl = ctx.intervening.labels[0]
-    assert sequential_prob(ctx, lbl) == pytest.approx(sequential_prob(rotated, lbl), abs=1e-9)
+    assert ctx.transition_weights[0] == pytest.approx(rotated.transition_weights[0], abs=1e-9)
 
 
 @settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_sequential_sums_to_marginal(seed, dim):
     ctx = random_context(np.random.default_rng(seed), dim)
-    total = sum(sequential_prob(ctx, label) for label in ctx.intervening.labels)
+    total = sum(ctx.transition_weights)
     assert abs(total - marginal_with_Q(ctx)) < 1e-12
 
 
@@ -236,9 +231,9 @@ def test_sequential_equals_born_chain(seed, dim):
     ctx = random_context(np.random.default_rng(seed), dim)
     a, b = ctx.pre.amplitudes, ctx.post.amplitudes
     post_proj = np.outer(b, b.conj())
-    for p in ctx.intervening.outcomes:
+    for p, weight in zip(ctx.intervening.outcomes, ctx.transition_weights):
         chained = born_chain(a, [p.matrix, post_proj])
-        assert sequential_prob(ctx, p.label) == pytest.approx(chained, abs=1e-10)
+        assert weight == pytest.approx(chained, abs=1e-10)
 
 
 def test_abl_with_trivial_observable():
@@ -254,14 +249,15 @@ def test_abl_exact_zero_for_impossible_outcomes():
     # the B∪C branch has vanishing transition amplitude: exactly zero, not 1e-35;
     # z0's weight 5e-13 (2.5e-13 with its Born weight 5e-13) is below the
     # snap. Every rule reads the snapped weights.
-    for ctx, label in (
-        (SelectionContext(a, b, qa), "B∪C"),
-        (snapped_weight_context(), "z0"),
-        (snapped_born_context(), "z0"),
+    for ctx, k, label in (
+        (SelectionContext(a, b, qa), 1, "B∪C"),
+        (snapped_weight_context(), 0, "z0"),
+        (snapped_born_context(), 0, "z0"),
     ):
+        assert ctx.intervening.labels[k] == label
         assert abl(ctx)[label] == 0.0
         assert kastner(ctx)[label] == 0.0
-        assert sequential_prob(ctx, label) == 0.0
+        assert ctx.transition_weights[k] == 0.0
         _, p_with_q = interposition_inequality(ctx.pre, ctx.intervening, ctx.post)
         assert p_with_q == marginal_with_Q(ctx) == sum(ctx.transition_weights)
 

@@ -92,6 +92,10 @@ def test_spin_half_rejects_bad_directions():
         spin_half(b_dir=(1.0, 1.0))
     with pytest.raises(InvalidDirection):
         spin_half(c_dir=(float("nan"), 0.0, 1.0))
+    # entries numpy cannot read as floats are refused like any other bad vector
+    for direction in ((1, "x", 0), (1j, 0, 0), ((1, 0), 0, 0)):
+        with pytest.raises(InvalidDirection, match="^a_dir must be a finite 3-vector$"):
+            spin_half(a_dir=direction)
 
 
 def test_spin_half_orthogonal_pre_post_is_flagged():
