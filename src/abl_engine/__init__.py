@@ -66,7 +66,6 @@ from .rules import (
 from .scenarios import (
     SCENARIOS,
     DecompositionCase,
-    ExpectedValue,
     ScenarioBundle,
     decomposition_counterexample,
     spin_half,

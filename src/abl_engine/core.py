@@ -36,13 +36,14 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
+        arr = _complex_array(self.amplitudes, "amplitudes")
         if arr.ndim != 1:
             raise ValidationError("amplitudes must be a one-dimensional sequence")
         _checked_int("state dimension", arr.size, 1, MAX_DIM)
         if not np.isfinite(arr).all():
             raise ValidationError("amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(f"state norm {norm} differs from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _freeze(arr))
@@ -54,8 +55,9 @@ class StateVector:
     @classmethod
     def normalized(cls, amplitudes) -> "StateVector":
         """Scale an arbitrary nonzero vector to unit norm."""
-        arr = np.asarray(amplitudes, dtype=np.complex128)
-        norm = float(np.linalg.norm(arr))
+        arr = _complex_array(amplitudes, "amplitudes")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(arr))
         if not np.isfinite(norm) or norm == 0.0:
             raise ValidationError("cannot normalize a zero or non-finite vector")
         return cls(arr / norm)
@@ -78,7 +80,7 @@ class Projector:
     label: str
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=np.complex128)
+        arr = _complex_array(self.matrix, "projector entries")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("projector must be a square matrix")
         _checked_int("projector dimension", arr.shape[0], 1, MAX_DIM)
@@ -149,6 +151,14 @@ def _checked_int(name: str, value, low: int, high: int) -> int:
     if not low <= value <= high:
         raise ValidationError(f"{name} must be in {low}..{high}, got {value}")
     return int(value)
+
+
+def _complex_array(value, what: str) -> np.ndarray:
+    """value as a complex128 array, refusing entries numpy cannot read as numbers."""
+    try:
+        return np.asarray(value, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be numbers") from None
 
 
 def _check_within(what: str, measure: str, deviation, error=ValidationError) -> None:

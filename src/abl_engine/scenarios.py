@@ -1,7 +1,7 @@
 """Ready-made pre/post-selected setups with their analytic expectations.
 
-Each constructor returns a ScenarioBundle: a default SelectionContext, the
-named alternative intervening observables, and the expected probabilities
+Each constructor returns a ScenarioBundle: the pre- and post-selected
+states, the named intervening observables, and the expected probabilities
 computed here by independent closed-form arithmetic (plain Python complex
 math, no shared code with the rules module) so they can serve as oracles.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -29,27 +29,29 @@ from .rules import SelectionContext
 
 
 @dataclass(frozen=True)
-class ExpectedValue:
-    """A named analytic probability and a note saying where it comes from."""
-
-    name: str
-    value: float
-    note: str
-
-
-@dataclass(frozen=True)
 class ScenarioBundle:
-    """A default context, the named intervening observables in table order
-    (the first is the default), and the expected values."""
+    """Pre- and post-selected states, the named intervening observables in
+    table order (the first is the default, whose context is `context`), and
+    the expected values by name in table order. `notes` holds the
+    orthogonal_pre_post note exactly when the snapped |<pre|post>|^2 is 0."""
 
     name: str
-    context: SelectionContext
+    pre: StateVector
+    post: StateVector
     variants: Mapping[str, Observable]
-    expected: tuple[ExpectedValue, ...]
-    notes: tuple[str, ...] = ()
+    expected: Mapping[str, float]
+    context: SelectionContext = field(init=False)
+    notes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
+        if not self.variants:
+            raise ValidationError("a scenario needs at least one variant")
+        object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
+        object.__setattr__(self, "context", self.context_for(next(iter(self.variants))))
+        orthogonal = born_prob_pure(self.pre, self.post) == 0.0
+        notes = ("orthogonal_pre_post: post-selection needs the interposition",)
+        object.__setattr__(self, "notes", notes if orthogonal else ())
 
     def variant(self, name: str) -> Observable:
         try:
@@ -60,12 +62,10 @@ class ScenarioBundle:
             ) from None
 
     def context_for(self, variant_name: str) -> SelectionContext:
-        return SelectionContext(
-            self.context.pre, self.context.post, self.variant(variant_name)
-        )
+        return SelectionContext(self.pre, self.post, self.variant(variant_name))
 
     def expected_value(self, name: str) -> float:
-        return {entry.name: entry.value for entry in self.expected}[name]
+        return self.expected[name]
 
 
 def _ket_observable(*outcomes) -> Observable:
@@ -92,21 +92,18 @@ def three_box() -> ScenarioBundle:
     q_a = Observable((box_a, Projector(box_b.matrix + box_c.matrix, "B∪C")))
     q_b = Observable((box_b, Projector(box_a.matrix + box_c.matrix, "A∪C")))
     third = 1.0 / 3.0
-    uniform = "uniform over boxes when all three are probed"
-    expected = (
-        *(ExpectedValue(f"fullQ:{x}", third, uniform) for x in "ABC"),
-        ExpectedValue("QA:A", 1.0, "certainty in box A when only box A is probed"),
-        ExpectedValue("QB:B", 1.0, "certainty in box B when only box B is probed"),
-        ExpectedValue("fullQ:marginal", third, "post-selection rate with all boxes probed"),
-        ExpectedValue("QA:marginal", 1.0 / 9.0, "post-selection rate with only box A probed"),
-        ExpectedValue("direct", 1.0 / 9.0, "post-selection rate with nothing interposed"),
-    )
-    return ScenarioBundle(
-        name="three-box",
-        context=SelectionContext(a, b, full),
-        variants={"fullQ": full, "QA": q_a, "QB": q_b},
-        expected=expected,
-    )
+    # uniform over the boxes when all three are probed, certainty in the box
+    # probed alone; the marginals and "direct" are post-selection rates with
+    # all boxes, box A alone and nothing interposed
+    expected = {
+        **{f"fullQ:{x}": third for x in "ABC"},
+        "QA:A": 1.0,
+        "QB:B": 1.0,
+        "fullQ:marginal": third,
+        "QA:marginal": 1.0 / 9.0,
+        "direct": 1.0 / 9.0,
+    }
+    return ScenarioBundle("three-box", a, b, {"fullQ": full, "QA": q_a, "QB": q_b}, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +117,8 @@ def _unit_direction(direction, what: str) -> tuple[float, float, float]:
         vec = None
     if vec is None or vec.shape != (3,) or not np.all(np.isfinite(vec)):
         raise InvalidDirection(f"{what} must be a finite 3-vector")
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > NORM_TOL:
         raise InvalidDirection(f"{what} must be a unit vector, got norm {norm}")
     return float(vec[0]), float(vec[1]), float(vec[2])
@@ -162,21 +160,12 @@ def spin_half(
         second = sum(complex(x).conjugate() * complex(y) for x, y in zip(k, b_up))
         return abs(first * second) ** 2
 
+    # the two-time values up and down along c, and the post-selection rate
+    # with the c component measured
     n_up, n_down = through(c_up), through(c_down)
     total = n_up + n_down
-    expected = (
-        ExpectedValue("up_c", n_up / total, "closed-form two-time value, up along c"),
-        ExpectedValue("down_c", n_down / total, "closed-form two-time value, down along c"),
-        ExpectedValue("marginal", total, "post-selection rate with the c component measured"),
-    )
-    notes = ("orthogonal_pre_post: post-selection needs the interposition",)
-    return ScenarioBundle(
-        name="spin-half",
-        context=SelectionContext(pre, post, sigma_c),
-        variants={"sigma_c": sigma_c},
-        expected=expected,
-        notes=notes if born_prob_pure(pre, post) == 0.0 else (),
-    )
+    expected = {"up_c": n_up / total, "down_c": n_down / total, "marginal": total}
+    return ScenarioBundle("spin-half", pre, post, {"sigma_c": sigma_c}, expected)
 
 
 # ---------------------------------------------------------------------------

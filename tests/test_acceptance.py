@@ -285,3 +285,4 @@ def test_seeded_monte_carlo_reports_are_byte_identical():
     assert second.returncode == 0, second.stderr.decode()
     assert first.stdout
     assert first.stdout == second.stdout
+    assert first.stderr == second.stderr == b""

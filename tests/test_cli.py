@@ -363,10 +363,14 @@ def sweep_files(tmp_path, box_files):
             projector_from_span([basis_state(2, 1)], "down"),
         )
     )
+    # finite amplitudes whose norm overflows a float
+    overflow = {"dim": 3, "amplitudes": [[1e308, 0], [1e308, 0], [0, 0]]}
     extra = {
         "basis": observable_json(basis),
         "state2": state_json(basis_state(2, 0)),
         "obs2": observable_json(qubit),
+        "overflow": overflow,
+        "obs_overflow": {"dim": 3, "outcomes": [{"label": "o", "span": [overflow]}]},
     }
     files = {"pre": box_files["a"], "post": box_files["b"], **box_files}
     for name, payload in extra.items():
@@ -424,6 +428,11 @@ def _failing_argvs(command, files):
         for index in range(len(observables)):
             swapped = observables[:index] + [files[replacement]] + observables[index + 1:]
             yield _argv(command, states, swapped), "ParseError"
+    for name in state_names:
+        yield _argv(command, {**states, name: files["overflow"]}, observables), "ValidationError"
+    for index in range(len(observables)):
+        swapped = observables[:index] + [files["obs_overflow"]] + observables[index + 1:]
+        yield _argv(command, states, swapped), "ValidationError"
     for name in state_names:
         yield _argv(command, {**states, name: files["state2"]}, observables), "DimensionMismatch"
     for index in range(len(observables)):

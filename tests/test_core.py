@@ -65,6 +65,23 @@ def test_normalized_classmethod():
         StateVector.normalized([0.0, 0.0])
 
 
+def test_unreadable_or_overflowing_entries_are_validation_errors():
+    cases = [
+        (lambda: StateVector(["a", "b"]), "^amplitudes must be numbers$"),
+        (lambda: StateVector([object()]), "^amplitudes must be numbers$"),
+        (lambda: StateVector([[1.0, 0.0], [1.0]]), "^amplitudes must be numbers$"),
+        (lambda: StateVector.normalized(["a"]), "^amplitudes must be numbers$"),
+        (lambda: StateVector.normalized([10**400]), "^amplitudes must be numbers$"),
+        (lambda: Projector([["a"]], "x"), "^projector entries must be numbers$"),
+        # a norm that overflows is inf, refused without a numpy warning
+        (lambda: StateVector([1e308, 1e308]), "^state norm inf differs from 1 beyond 1e-10$"),
+        (lambda: StateVector.normalized([1e308, 1e308]), "^cannot normalize"),
+    ]
+    for make, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            make()
+
+
 def test_basis_state_bounds():
     assert basis_state(3, 2).amplitudes[2] == 1.0
     for dim, index, name in (
@@ -428,7 +445,7 @@ def test_more_outcomes_than_dim_are_refused_before_any_span_is_read():
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 52
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 51
     assert set(abl_engine.__all__) == {
         "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL",
         "StateVector", "Projector", "Observable", "basis_state",
@@ -438,7 +455,7 @@ def test_public_names_are_pinned():
         "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",
         "decomposition_check", "interposition_inequality", "product_rule_check",
         "TrialOutcome", "EnsembleStats", "trial_stream", "run_trial", "estimate_abl",
-        "estimate_interposition_effect", "ScenarioBundle", "ExpectedValue", "three_box",
+        "estimate_interposition_effect", "ScenarioBundle", "three_box",
         "spin_half", "SCENARIOS", "DecompositionCase",
         "decomposition_counterexample", "EngineError", "ValidationError", "ParseError",
         "DimensionMismatch", "DegenerateSpan",

@@ -8,6 +8,7 @@ import pytest
 from abl_engine import (
     InvalidDirection,
     SCENARIOS,
+    ScenarioBundle,
     ValidationError,
     abl,
     inner,
@@ -33,14 +34,35 @@ def _resolve(bundle, name):
 def test_expected_values_reproducible_within_1e12(maker):
     bundle = maker()
     assert bundle.expected, "scenario must ship expectations"
-    for entry in bundle.expected:
-        if bundle.name == "spin-half" and entry.name == "marginal":
+    for name, expected in bundle.expected.items():
+        if bundle.name == "spin-half" and name == "marginal":
             value = marginal_with_Q(bundle.context)
         elif bundle.name == "spin-half":
-            value = abl(bundle.context)[entry.name]
+            value = abl(bundle.context)[name]
         else:
-            value = _resolve(bundle, entry.name)
-        assert abs(value - entry.value) < 1e-12, entry.name
+            value = _resolve(bundle, name)
+        assert abs(value - expected) < 1e-12, name
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_default_context_is_the_first_variants_context(name):
+    bundle = SCENARIOS[name]()
+    first = next(iter(bundle.variants.values()))
+    assert bundle.context.pre is bundle.pre and bundle.context.post is bundle.post
+    assert bundle.context.intervening is first
+    with pytest.raises(ValidationError, match="^a scenario needs at least one variant$"):
+        ScenarioBundle(name, bundle.pre, bundle.post, {}, bundle.expected)
+
+
+def test_expected_values_are_a_read_only_mapping_in_table_order():
+    bundle = three_box()
+    assert tuple(bundle.expected) == (
+        "fullQ:A", "fullQ:B", "fullQ:C", "QA:A", "QB:B", "fullQ:marginal", "QA:marginal", "direct",
+    )
+    assert tuple(spin_half().expected) == ("up_c", "down_c", "marginal")
+    with pytest.raises(TypeError):
+        bundle.expected["direct"] = 0.5
+    assert bundle.expected_value("direct") == 1.0 / 9.0
 
 
 def test_three_box_registry_and_variants():
@@ -96,9 +118,13 @@ def test_spin_half_rejects_bad_directions():
     for direction in ((1, "x", 0), (1j, 0, 0), ((1, 0), 0, 0)):
         with pytest.raises(InvalidDirection, match="^a_dir must be a finite 3-vector$"):
             spin_half(a_dir=direction)
+    with pytest.raises(InvalidDirection, match="^c_dir must be a unit vector, got norm inf$"):
+        spin_half(c_dir=(1e308, 1e308, 0.0))
 
 
 def test_spin_half_orthogonal_pre_post_is_flagged():
+    # the snapped direct weight of three-box is 1/9, so it carries no note
+    assert three_box().notes == ()
     bundle = spin_half((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
     assert any("orthogonal_pre_post" in note for note in bundle.notes)
     dist = abl(bundle.context)
