@@ -41,7 +41,6 @@ from .errors import (
     DimensionMismatch,
     EngineError,
     ImpossiblePostSelection,
-    InvalidDirection,
     NoAcceptedTrials,
     NonCommutingObservables,
     OrthogonalPrePost,

@@ -86,8 +86,9 @@ class Projector:
         _checked_int("projector dimension", arr.shape[0], 1, MAX_DIM)
         if not np.isfinite(arr).all():
             raise ValidationError("projector entries must be finite")
-        _check_within("projector must be Hermitian", "|P - P^H|", arr - arr.conj().T)
-        _check_within("projector must be idempotent", "|P^2 - P|", arr @ arr - arr)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused
+            _check_within("projector must be Hermitian", "|P - P^H|", arr - arr.conj().T)
+            _check_within("projector must be idempotent", "|P^2 - P|", arr @ arr - arr)
         if not isinstance(self.label, str):
             raise ValidationError("projector label must be a string")
         object.__setattr__(self, "matrix", _freeze(arr))
@@ -162,9 +163,9 @@ def _complex_array(value, what: str) -> np.ndarray:
 
 
 def _check_within(what: str, measure: str, deviation, error=ValidationError) -> None:
-    """Refuse `what` unless max |deviation| is within NORM_TOL, naming both."""
+    """Refuse `what` unless max |deviation| is within NORM_TOL (so nan is refused), naming both."""
     largest = float(np.abs(deviation).max())
-    if largest > NORM_TOL:
+    if not largest <= NORM_TOL:
         raise error(f"{what} within {NORM_TOL}: max {measure} is {largest}")
 
 

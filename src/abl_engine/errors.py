@@ -48,9 +48,5 @@ class NonCommutingObservables(EngineError):
     """Product-rule check requires commuting observables."""
 
 
-class InvalidDirection(EngineError):
-    """Spin direction is not a finite unit 3-vector."""
-
-
 class NoAcceptedTrials(EngineError):
     """Post-selection accepted zero trials; raise the trial count."""

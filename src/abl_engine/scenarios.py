@@ -8,7 +8,6 @@ math, no shared code with the rules module) so they can serve as oracles.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -16,15 +15,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (
-    NORM_TOL,
-    Observable,
-    Projector,
-    StateVector,
-    basis_state,
-    born_prob_pure,
-)
-from .errors import InvalidDirection, ValidationError
+from .core import Observable, Projector, StateVector, basis_state
+from .errors import ValidationError
 from .rules import SelectionContext
 
 
@@ -32,8 +24,7 @@ from .rules import SelectionContext
 class ScenarioBundle:
     """Pre- and post-selected states, the named intervening observables in
     table order (the first is the default, whose context is `context`), and
-    the expected values by name in table order. `notes` holds the
-    orthogonal_pre_post note exactly when the snapped |<pre|post>|^2 is 0."""
+    the expected values by name in table order."""
 
     name: str
     pre: StateVector
@@ -41,7 +32,6 @@ class ScenarioBundle:
     variants: Mapping[str, Observable]
     expected: Mapping[str, float]
     context: SelectionContext = field(init=False)
-    notes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
@@ -49,9 +39,6 @@ class ScenarioBundle:
             raise ValidationError("a scenario needs at least one variant")
         object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
         object.__setattr__(self, "context", self.context_for(next(iter(self.variants))))
-        orthogonal = born_prob_pure(self.pre, self.post) == 0.0
-        notes = ("orthogonal_pre_post: post-selection needs the interposition",)
-        object.__setattr__(self, "notes", notes if orthogonal else ())
 
     def variant(self, name: str) -> Observable:
         try:
@@ -110,46 +97,26 @@ def three_box() -> ScenarioBundle:
 # spin half
 
 
-def _unit_direction(direction, what: str) -> tuple[float, float, float]:
-    try:
-        vec = np.asarray(direction, dtype=float)
-    except (TypeError, ValueError):
-        vec = None
-    if vec is None or vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise InvalidDirection(f"{what} must be a finite 3-vector")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise InvalidDirection(f"{what} must be a unit vector, got norm {norm}")
-    return float(vec[0]), float(vec[1]), float(vec[2])
-
-
-def _spin_kets(direction) -> tuple[np.ndarray, np.ndarray]:
-    """Half-angle eigenkets of the spin component along a unit direction,
-    with zero phase at the +z pole; the minus eigenket is the plus eigenket
-    of the antipodal direction up to that convention."""
-    x, y, z = direction
-    half = math.acos(min(1.0, max(-1.0, z))) / 2.0
-    phase = cmath.exp(1j * math.atan2(y, x))
-    up = np.array([math.cos(half), phase * math.sin(half)], dtype=complex)
-    down = np.array([math.sin(half), -phase * math.cos(half)], dtype=complex)
+def _spin_kets(z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Half-angle eigenkets (up, down) of the spin component along the unit
+    direction in the x-z plane with x >= 0 whose z component is `z`, with
+    zero phase at the +z pole."""
+    half = math.acos(z) / 2.0
+    up = np.array([math.cos(half), math.sin(half)], dtype=complex)
+    down = np.array([math.sin(half), -math.cos(half)], dtype=complex)
     return up, down
 
 
-DEFAULT_C_DIR = (1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
+# z component of the 45 degree x-z direction
+C_Z = 1.0 / math.sqrt(2.0)
 
 
-def spin_half(
-    a_dir=(0.0, 0.0, 1.0), b_dir=(1.0, 0.0, 0.0), c_dir=DEFAULT_C_DIR
-) -> ScenarioBundle:
-    """Spin-1/2 particle pre-selected up along a_dir, post-selected up along
-    b_dir, with the spin component along c_dir interposed."""
-    a_dir = _unit_direction(a_dir, "a_dir")
-    b_dir = _unit_direction(b_dir, "b_dir")
-    c_dir = _unit_direction(c_dir, "c_dir")
-    a_up, _ = _spin_kets(a_dir)
-    b_up, _ = _spin_kets(b_dir)
-    c_up, c_down = _spin_kets(c_dir)
+def spin_half() -> ScenarioBundle:
+    """Spin-1/2 particle pre-selected up along z, post-selected up along x,
+    with the spin component along the 45 degree x-z direction interposed."""
+    a_up, _ = _spin_kets(1.0)
+    b_up, _ = _spin_kets(0.0)
+    c_up, c_down = _spin_kets(C_Z)
     pre = StateVector(a_up)
     post = StateVector(b_up)
     sigma_c = _ket_observable(("up_c", c_up), ("down_c", c_down))
@@ -189,8 +156,8 @@ def decomposition_counterexample() -> DecompositionCase:
     x-z direction measured first, the x component after. Neither observable
     shares the pre-selection or the later basis, and the dropped cross terms
     are large, so the reconstruction misses by more than a tenth."""
-    q = _ket_observable(*zip(("up_q", "down_q"), _spin_kets(DEFAULT_C_DIR)))
-    b_obs = _ket_observable(*zip(("plus_x", "minus_x"), _spin_kets((1.0, 0.0, 0.0))))
+    q = _ket_observable(*zip(("up_q", "down_q"), _spin_kets(C_Z)))
+    b_obs = _ket_observable(*zip(("plus_x", "minus_x"), _spin_kets(0.0)))
     # by hand: lhs(up_q) = cos^2(pi/8); the contributing joints are
     # cos^4(pi/8) and 1/8, the later-basis rates 3/4 and 1/4, both direct
     # probabilities 1/2

@@ -4,6 +4,7 @@ import ast
 import math
 import re
 import tokenize
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,12 @@ from abl_engine import (
     MAX_DIM,
     Observable,
     ParseError,
+    ProbabilityDistribution,
     Projector,
     SelectionContext,
     StateVector,
     ValidationError,
+    WeightAssignment,
     abl,
     basis_state,
     born_prob_pure,
@@ -76,10 +79,40 @@ def test_unreadable_or_overflowing_entries_are_validation_errors():
         # a norm that overflows is inf, refused without a numpy warning
         (lambda: StateVector([1e308, 1e308]), "^state norm inf differs from 1 beyond 1e-10$"),
         (lambda: StateVector.normalized([1e308, 1e308]), "^cannot normalize"),
+        # P^2 overflows to inf - inf: a nan deviation is refused, not passed
+        (
+            lambda: Projector([[1, 1e200 + 1e200j], [1e200 - 1e200j, 1]], "x"),
+            r"^projector must be idempotent within 1e-10: max \|P\^2 - P\| is nan$",
+        ),
     ]
     for make, message in cases:
         with pytest.raises(ValidationError, match=message):
             make()
+
+
+EXTREMES = (0.0, 5e-324, 1e-200, 1.0, 1e154, 1e200, 1e308, -1e308)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(st.sampled_from(EXTREMES), st.sampled_from(EXTREMES)), min_size=4, max_size=4))
+def test_extreme_finite_entries_build_or_are_validation_errors(parts):
+    # each constructor must build or refuse by name; a numpy overflow warning
+    # is made an error here, so neither outcome can hide one
+    entries = [complex(re, im) for re, im in parts]
+    values = tuple(zip("abcd", (re for re, _ in parts)))
+    for make in (
+        lambda: StateVector(entries[:2]),
+        lambda: StateVector.normalized(entries),
+        lambda: Projector(np.reshape(entries, (2, 2)), "x"),
+        lambda: WeightAssignment(values),
+        lambda: ProbabilityDistribution(values),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                make()
+            except ValidationError:
+                pass
 
 
 def test_basis_state_bounds():
@@ -445,7 +478,7 @@ def test_more_outcomes_than_dim_are_refused_before_any_span_is_read():
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 51
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 50
     assert set(abl_engine.__all__) == {
         "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL",
         "StateVector", "Projector", "Observable", "basis_state",
@@ -460,7 +493,7 @@ def test_public_names_are_pinned():
         "decomposition_counterexample", "EngineError", "ValidationError", "ParseError",
         "DimensionMismatch", "DegenerateSpan",
         "ImpossiblePostSelection", "OrthogonalPrePost", "DegeneratePostObservable",
-        "NonCommutingObservables", "InvalidDirection", "NoAcceptedTrials",
+        "NonCommutingObservables", "NoAcceptedTrials",
     }
     for name in abl_engine.__all__:
         assert hasattr(abl_engine, name), name

@@ -868,7 +868,7 @@ def test_sampler_verifies_kastner_weights(ctx):
         w = count / n / direct
         se = w * math.sqrt((n - count) / (n * count) + (1.0 - direct) / (n * direct))
         assert abs(w - weight) < 5 * se, label
-    if ctx is three_box().context:
+    if ctx.intervening.labels == ("A", "B", "C"):
         assert weights.total() == pytest.approx(3.0, abs=1e-12)
 
 

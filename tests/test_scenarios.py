@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from abl_engine import (
-    InvalidDirection,
     SCENARIOS,
+    Observable,
+    Projector,
     ScenarioBundle,
+    SelectionContext,
+    StateVector,
     ValidationError,
     abl,
     inner,
@@ -94,68 +97,43 @@ def test_spin_half_default_matches_closed_form():
     assert dist["down_c"] == pytest.approx(s4 / (c4 + s4), abs=1e-12)
 
 
+def _spin_context(pre_angle, post_angle, c_angle):
+    """Pre up, post up and sigma_c (up_c, down_c) along the x-z directions at
+    the given polar angles from +z, from plain-numpy half-angle kets."""
+
+    def up(theta):
+        return np.array([math.cos(theta / 2), math.sin(theta / 2)], dtype=complex)
+
+    c_up, c_down = up(c_angle), up(c_angle + math.pi)
+    sigma_c = Observable(
+        tuple(Projector(np.outer(k, k.conj()), label) for label, k in (("up_c", c_up), ("down_c", c_down)))
+    )
+    return SelectionContext(StateVector(up(pre_angle)), StateVector(up(post_angle)), sigma_c)
+
+
 def test_spin_half_aligned_cases():
-    z = (0.0, 0.0, 1.0)
-    bundle = spin_half(z, z, z)
-    dist = abl(bundle.context)
+    dist = abl(_spin_context(0.0, 0.0, 0.0))
     assert dist["up_c"] == pytest.approx(1.0, abs=1e-12)
     assert dist["down_c"] == 0.0
     # c = a: interposed observable has the pre-state as an eigenket
-    bundle2 = spin_half(z, (1.0, 0.0, 0.0), z)
-    dist2 = abl(bundle2.context)
+    dist2 = abl(_spin_context(0.0, math.pi / 2, 0.0))
     assert dist2["up_c"] == pytest.approx(1.0, abs=1e-12)
     assert dist2["down_c"] == 0.0
 
 
-def test_spin_half_rejects_bad_directions():
-    with pytest.raises(InvalidDirection):
-        spin_half(a_dir=(0.0, 0.0, 2.0))
-    with pytest.raises(InvalidDirection):
-        spin_half(b_dir=(1.0, 1.0))
-    with pytest.raises(InvalidDirection):
-        spin_half(c_dir=(float("nan"), 0.0, 1.0))
-    # entries numpy cannot read as floats are refused like any other bad vector
-    for direction in ((1, "x", 0), (1j, 0, 0), ((1, 0), 0, 0)):
-        with pytest.raises(InvalidDirection, match="^a_dir must be a finite 3-vector$"):
-            spin_half(a_dir=direction)
-    with pytest.raises(InvalidDirection, match="^c_dir must be a unit vector, got norm inf$"):
-        spin_half(c_dir=(1e308, 1e308, 0.0))
-
-
-def test_spin_half_orthogonal_pre_post_is_flagged():
-    # the snapped direct weight of three-box is 1/9, so it carries no note
-    assert three_box().notes == ()
-    bundle = spin_half((0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0))
-    assert any("orthogonal_pre_post" in note for note in bundle.notes)
-    dist = abl(bundle.context)
+def test_spin_half_orthogonal_pre_post_abl_is_one_half():
+    # +z to -z has no direct route; with sigma_x interposed each branch is 1/2
+    dist = abl(_spin_context(0.0, math.pi, math.pi / 2))
     assert dist["up_c"] == pytest.approx(0.5, abs=1e-12)
-    # the note follows the engine's snap: post at polar angle pi - eps from
-    # +z has |<a|b>|^2 = sin^2(eps / 2) = w, flagged at or below 1e-12 only
-    for w, flagged in ((0.9e-12, True), (1.0e-12, True), (1.1e-12, False)):
-        eps = 2.0 * math.asin(math.sqrt(w))
-        bundle = spin_half(b_dir=(math.sin(eps), 0.0, -math.cos(eps)))
-        assert any("orthogonal_pre_post" in note for note in bundle.notes) == flagged, w
 
 
 def test_spin_half_continuity_in_c_direction():
     eps = 1e-6
     base = math.pi / 4
-    ref = abl(spin_half(c_dir=(math.sin(base), 0.0, math.cos(base))).context)
-    near = abl(
-        spin_half(c_dir=(math.sin(base + eps), 0.0, math.cos(base + eps))).context
-    )
+    ref = abl(_spin_context(0.0, math.pi / 2, base))
+    near = abl(_spin_context(0.0, math.pi / 2, base + eps))
     for label in ("up_c", "down_c"):
         assert abs(ref[label] - near[label]) < 1e-4
-
-
-def test_spin_half_arbitrary_axes_phase_convention():
-    # off-plane direction exercises the azimuthal phase
-    c = (0.6, 0.48, 0.64)
-    norm = math.sqrt(sum(x * x for x in c))
-    bundle = spin_half(c_dir=tuple(x / norm for x in c))
-    dist = abl(bundle.context)
-    assert abs(sum(dist.as_dict().values()) - 1.0) < 1e-12
-    assert bundle.expected_value("up_c") == pytest.approx(dist["up_c"], abs=1e-12)
 
 
 def test_product_rule_scenario_reports_violation():
