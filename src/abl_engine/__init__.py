@@ -20,8 +20,6 @@ from .core import (
     Projector,
     StateVector,
     basis_state,
-    born_prob_pure,
-    inner,
     observable_from_json,
     projector_from_span,
     state_from_json,
@@ -56,6 +54,7 @@ from .rules import (
     WeightAssignment,
     abl,
     abl_trivial_reduction,
+    born_prob_pure,
     decomposition_check,
     interposition_inequality,
     kastner,

@@ -1,10 +1,9 @@
 """Finite-dimensional Hilbert-space primitives.
 
-Pure states, projectors, and labeled projective observables, plus the
-pure-state Born rule. Values are immutable numpy-backed objects;
-constructors validate their invariants eagerly so downstream formulas never
-see a bad value. The Hamiltonian is identically zero between measurements,
-so no propagator exists here.
+Pure states, projectors, and labeled projective observables. Values are
+immutable numpy-backed objects; constructors validate their invariants
+eagerly so downstream formulas never see a bad value. The Hamiltonian is
+identically zero between measurements, so no propagator exists here.
 """
 
 from __future__ import annotations
@@ -51,16 +50,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return int(self.amplitudes.size)
-
-    @classmethod
-    def normalized(cls, amplitudes) -> "StateVector":
-        """Scale an arbitrary nonzero vector to unit norm."""
-        arr = _complex_array(amplitudes, "amplitudes")
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(arr))
-        if not np.isfinite(norm) or norm == 0.0:
-            raise ValidationError("cannot normalize a zero or non-finite vector")
-        return cls(arr / norm)
 
 
 def basis_state(dim: int, index: int) -> StateVector:
@@ -154,6 +143,11 @@ def _checked_int(name: str, value, low: int, high: int) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """value is a real number (numpy's included) and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _complex_array(value, what: str) -> np.ndarray:
     """value as a complex128 array, refusing entries numpy cannot read as numbers."""
     try:
@@ -182,12 +176,6 @@ def _same_dim(*objects) -> None:
     dims = [obj.dim for obj in objects if obj is not None]
     if len(set(dims)) > 1:
         raise DimensionMismatch(f"dimensions differ: {dims}")
-
-
-def inner(x: StateVector, y: StateVector) -> complex:
-    """<x|y>: conjugate-linear in x, linear in y."""
-    _same_dim(x, y)
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
 def projector_from_span(vectors, label: str) -> Projector:
@@ -229,23 +217,12 @@ def _snapped_weights(amplitudes) -> tuple[float, ...]:
     return tuple(_snap(min(abs(amp) ** 2, 1.0)) for amp in amplitudes)
 
 
-def born_prob_pure(psi: StateVector, q: StateVector) -> float:
-    """|<psi|q>|^2 for unit vectors, clamped and snapped as every weight is."""
-    return _snapped_weights([inner(psi, q)])[0]
-
-
 # ---------------------------------------------------------------------------
 # JSON decoding: complex scalar from [re, im]
 
 
 def _complex_from_json(obj) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(
-            isinstance(part, numbers.Real) and not isinstance(part, bool) for part in obj
-        )
-    ):
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2 or not all(map(_is_real, obj)):
         raise ParseError("amplitude must be a two-element [re, im] array")
     try:
         return complex(float(obj[0]), float(obj[1]))

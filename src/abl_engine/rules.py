@@ -1,9 +1,10 @@
 """Two-time probability rules for pre- and post-selected systems.
 
-Covers the ABL rule and its Born reduction, Kastner's rival rule, the
-decomposition identity with its validity conditions, the interposition
-comparison, and the product-rule check. Degenerate (rank > 1) projectors
-are first-class everywhere; the rank-1 forms are special cases.
+Covers the pure-state Born rule, the ABL rule and its Born reduction,
+Kastner's rival rule, the decomposition identity with its validity
+conditions, the interposition comparison, and the product-rule check.
+Degenerate (rank > 1) projectors are first-class everywhere; the rank-1
+forms are special cases.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     StateVector,
     _check_unique,
     _check_within,
+    _is_real,
     _same_dim,
     _snap,
     _snapped_weights,
@@ -43,6 +45,12 @@ def _transition_weights(
     weight |<a|b>|^2 when there is none."""
     images = [post] if observable is None else [p.matrix @ post for p in observable.outcomes]
     return _snapped_weights([np.vdot(pre, v) for v in images])
+
+
+def born_prob_pure(psi: StateVector, q: StateVector) -> float:
+    """|<psi|q>|^2 for unit vectors, clamped and snapped as every weight is."""
+    _same_dim(psi, q)
+    return _transition_weights(psi.amplitudes, None, q.amplitudes)[0]
 
 
 def _projections(psi: np.ndarray, observable: Observable) -> tuple[np.ndarray, np.ndarray]:
@@ -104,7 +112,7 @@ class ProbabilityDistribution(_LabeledValues):
 
     def _check_values(self) -> None:
         for label, value in self.entries:
-            if not 0.0 <= value <= 1.0:
+            if not (_is_real(value) and 0.0 <= value <= 1.0):
                 raise ValidationError(f"probability for {label!r} is outside [0, 1]")
         total = sum(value for _, value in self.entries)
         if abs(total - 1.0) > NORM_TOL:
@@ -116,7 +124,7 @@ class WeightAssignment(_LabeledValues):
 
     def _check_values(self) -> None:
         for label, value in self.entries:
-            if not 0.0 <= value < np.inf:
+            if not (_is_real(value) and 0.0 <= value < np.inf):
                 raise ValidationError(
                     f"weight for {label!r} must be a finite number >= 0, got {value}"
                 )
@@ -212,7 +220,7 @@ def kastner(ctx: SelectionContext) -> WeightAssignment:
     numerator assumes one; the weights are exposed so that inconsistency
     is checkable rather than adjudicated.
     """
-    (denominator,) = _transition_weights(ctx.pre.amplitudes, None, ctx.post.amplitudes)
+    denominator = born_prob_pure(ctx.pre, ctx.post)
     if denominator == 0.0:
         raise OrthogonalPrePost(
             f"the direct weight |<a|b>|^2 snapped to 0 (at or below {ZERO_PROB_TOL});"
@@ -297,7 +305,7 @@ def interposition_inequality(
     weight snaps on its own, p_with_Q can be 0 while p_direct is not.
     """
     _same_dim(pre, q, post)
-    (p_direct,) = _transition_weights(pre.amplitudes, None, post.amplitudes)
+    p_direct = born_prob_pure(pre, post)
     p_with_q = sum(_transition_weights(pre.amplitudes, q, post.amplitudes))
     return p_direct, min(p_with_q, 1.0)
 

@@ -1,5 +1,6 @@
 """Shared random constructors for property tests, the Born-chain oracle, the
-JSON writers for the CLI's input files, and the sampler's exact law.
+JSON writers for the CLI's input files, the sampler's exact law, and a
+plain-Python Philox that recounts the sampler's seeded counts.
 
 Everything is driven by an explicit numpy Generator so each test fixes its
 own seed; nothing here touches global RNG state.
@@ -70,9 +71,14 @@ def _sylvester_hadamard(dim):
     return rows.tolist()
 
 
+def unit(vector) -> StateVector:
+    """The state along a finite nonzero vector: the vector over its norm."""
+    arr = np.asarray(vector, dtype=complex)
+    return StateVector(arr / np.linalg.norm(arr))
+
+
 def random_state(rng: np.random.Generator, dim: int) -> StateVector:
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(vec / np.linalg.norm(vec))
+    return unit(rng.normal(size=dim) + 1j * rng.normal(size=dim))
 
 
 def random_observable(
@@ -103,13 +109,13 @@ def random_context(
 ) -> SelectionContext:
     """Random reachable context; redraws until the post-selection rate (and
     optionally the direct overlap) clears the requested floor."""
-    from abl_engine import inner, marginal_with_Q
+    from abl_engine import marginal_with_Q
 
     for _ in range(200):
         pre = random_state(rng, dim)
         post = random_state(rng, dim)
         obs = random_observable(rng, dim)
-        if abs(inner(pre, post)) ** 2 < min_direct:
+        if abs(np.vdot(pre.amplitudes, post.amplitudes)) ** 2 < min_direct:
             continue
         try:
             ctx = SelectionContext(pre, post, obs)
@@ -140,7 +146,7 @@ def snapped_born_context() -> SelectionContext:
     snaps to 0, and so does its transition weight e^2 / 2."""
     e = math.sqrt(5e-13)
     a = StateVector(np.array([e, math.sqrt(1.0 - e * e)], dtype=complex))
-    b = StateVector.normalized([1.0, 1.0])
+    b = unit([1.0, 1.0])
     return SelectionContext(a, b, snapped_weight_context().intervening)
 
 
@@ -214,3 +220,42 @@ def _assert_law_is_abl(ctx, *later):
             # the snapped ABL zeros are exactly the paths never counted
             assert (weight == 0) == (value == 0.0), path
         assert abs(weight / total - Fraction(value)) <= LAW_ULPS * Fraction(1, 2**53) / total, path
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as
+# easy as 1, 2, 3", SC '11) on Python ints, calling nothing from numpy: ten
+# rounds of two 64 x 64 -> 128-bit multiplies, each followed by a Weyl bump of
+# the key.
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+WORD = 2**64 - 1
+
+
+def philox_block(key0: int, key1: int, counter: int) -> list[int]:
+    """The four 64-bit words Philox4x64-10 makes from a 256-bit counter under
+    the key (key0, key1)."""
+    c0, c1, c2, c3 = (counter >> shift & WORD for shift in (0, 64, 128, 192))
+    for _ in range(10):
+        p0, p1 = PHILOX_M[0] * c0, PHILOX_M[1] * c2
+        c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ key0, p1 & WORD, p0 >> 64 ^ c3 ^ key1, p0 & WORD
+        key0, key1 = (key0 + PHILOX_W[0]) & WORD, (key1 + PHILOX_W[1]) & WORD
+    return [c0, c1, c2, c3]
+
+
+def philox_recount(seed: int, stream: int, trials: int, filters) -> list[int]:
+    """Post-selected trials per branch of each filter (column, rising,
+    accept_from) in turn, over trials [0, trials) of the stream, one trial at a
+    time: trial i reads counter i + 1 under the key (seed, stream), its branch
+    is the number of rising bounds above word 0 >> 11, and it passes when
+    word column >> 11 is at least its branch's acceptance bound."""
+    tables = [
+        (column, [int(b) for b in rising], [int(b) for b in accept_from])
+        for column, rising, accept_from in filters
+    ]
+    counts = [[0] * len(accept_from) for _, _, accept_from in tables]
+    for i in range(trials):
+        m = [word >> 11 for word in philox_block(seed, stream, i + 1)]
+        for (column, rising, accept_from), counted in zip(tables, counts):
+            branch = sum(m[0] < bound for bound in rising)
+            counted[branch] += m[column] >= accept_from[branch]
+    return [count for counted in counts for count in counted]

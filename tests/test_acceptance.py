@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import born_chain, random_context, random_observable, random_state
+from conftest import born_chain, random_context, random_observable, random_state, unit
 
 import abl_engine
 from abl_engine import (
@@ -30,7 +30,6 @@ from abl_engine import (
     decomposition_check,
     decomposition_counterexample,
     estimate_abl,
-    inner,
     interposition_inequality,
     kastner,
     marginal_with_Q,
@@ -124,7 +123,7 @@ def test_interposition_never_lowers_post_selection_probability():
         if gap > 1e-12:
             violations += 1
             worst_gap = max(worst_gap, gap)
-    plus_x = StateVector.normalized([1.0, 1.0])
+    plus_x = unit([1.0, 1.0])
     sigma_z = Observable(
         (
             projector_from_span([basis_state(2, 0)], "up"),
@@ -198,7 +197,7 @@ def test_decomposition_exact_under_conditions_and_fails_in_general():
         report = _assert_residual_bound(random_state(rng, dim), q, _basis_observable(unitary))
         assert report.which_condition == "Q_equals_B"
         assert report.max_residual < 1e-9
-    plus_y = StateVector.normalized([1.0, 1.0j])
+    plus_y = unit([1.0, 1.0j])
     sigma_z = _basis_observable(np.eye(2, dtype=complex), ["up", "down"])
     sigma_x = _basis_observable(
         np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0),
@@ -220,7 +219,7 @@ def test_kastner_weights_rescale_direct_rate_but_are_unnormalized():
     for index in range(1000):
         dim = 2 + (index % 5)
         ctx = random_context(rng, dim, min_direct=1e-6)
-        direct = abs(inner(ctx.pre, ctx.post)) ** 2
+        direct = abs(np.vdot(ctx.pre.amplitudes, ctx.post.amplitudes)) ** 2
         assert abs(kastner(ctx).total() * direct - marginal_with_Q(ctx)) <= 1e-9
     weights = kastner(three_box().context)
     assert abs(weights.total() - 3.0) <= 1e-12

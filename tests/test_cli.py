@@ -24,7 +24,7 @@ from abl_engine import (
 )
 from abl_engine import ensemble
 from abl_engine.cli import _COMMANDS, main
-from conftest import observable_json, state_json
+from conftest import observable_json, state_json, unit
 
 
 @pytest.fixture
@@ -157,9 +157,9 @@ def test_decomposition_command(capsys, tmp_path, box_files):
     q_path.write_text(json.dumps(observable_json(Observable((pa, rest)))))
     xbasis = Observable(
         (
-            projector_from_span([abl_engine.StateVector.normalized([1, 1, 1])], "b0"),
-            projector_from_span([abl_engine.StateVector.normalized([1, -1, 0])], "b1"),
-            projector_from_span([abl_engine.StateVector.normalized([1, 1, -2])], "b2"),
+            projector_from_span([unit([1, 1, 1])], "b0"),
+            projector_from_span([unit([1, -1, 0])], "b1"),
+            projector_from_span([unit([1, 1, -2])], "b2"),
         )
     )
     b_path = tmp_path / "basis.json"
@@ -352,9 +352,9 @@ FILE_COMMANDS = {
 def sweep_files(tmp_path, box_files):
     basis = Observable(
         (
-            projector_from_span([abl_engine.StateVector.normalized([1, 1, 1])], "b0"),
-            projector_from_span([abl_engine.StateVector.normalized([1, -1, 0])], "b1"),
-            projector_from_span([abl_engine.StateVector.normalized([1, 1, -2])], "b2"),
+            projector_from_span([unit([1, 1, 1])], "b0"),
+            projector_from_span([unit([1, -1, 0])], "b1"),
+            projector_from_span([unit([1, 1, -2])], "b2"),
         )
     )
     qubit = Observable(
@@ -486,8 +486,8 @@ def test_unreachable_pair_is_one_error_for_every_command(capsys, tmp_path):
     # eight transition weights of about 5e-13 each: every one snaps to 0
     e = 2.83e-6
     payloads = {
-        "pre": state_json(abl_engine.StateVector.normalized([1.0] * 4 + [e] * 4)),
-        "post": state_json(abl_engine.StateVector.normalized([e] * 4 + [1.0] * 4)),
+        "pre": state_json(unit([1.0] * 4 + [e] * 4)),
+        "post": state_json(unit([e] * 4 + [1.0] * 4)),
         "q": observable_json(
             Observable(tuple(projector_from_span([basis_state(8, i)], str(i)) for i in range(8)))
         ),

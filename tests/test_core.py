@@ -28,13 +28,19 @@ from abl_engine import (
     abl,
     basis_state,
     born_prob_pure,
-    inner,
     observable_from_json,
     projector_from_span,
     state_from_json,
     trivial_observable,
 )
-from conftest import born_chain, observable_json, random_observable, random_state, state_json
+from conftest import (
+    born_chain,
+    observable_json,
+    random_observable,
+    random_state,
+    state_json,
+    unit,
+)
 
 
 def test_state_vector_accepts_unit_vectors():
@@ -61,24 +67,15 @@ def test_state_vector_is_immutable():
         s.amplitudes[0] = 0.5
 
 
-def test_normalized_classmethod():
-    s = StateVector.normalized([3.0, 4.0])
-    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
-    with pytest.raises(ValidationError):
-        StateVector.normalized([0.0, 0.0])
-
-
 def test_unreadable_or_overflowing_entries_are_validation_errors():
     cases = [
         (lambda: StateVector(["a", "b"]), "^amplitudes must be numbers$"),
         (lambda: StateVector([object()]), "^amplitudes must be numbers$"),
         (lambda: StateVector([[1.0, 0.0], [1.0]]), "^amplitudes must be numbers$"),
-        (lambda: StateVector.normalized(["a"]), "^amplitudes must be numbers$"),
-        (lambda: StateVector.normalized([10**400]), "^amplitudes must be numbers$"),
+        (lambda: StateVector([10**400]), "^amplitudes must be numbers$"),
         (lambda: Projector([["a"]], "x"), "^projector entries must be numbers$"),
         # a norm that overflows is inf, refused without a numpy warning
         (lambda: StateVector([1e308, 1e308]), "^state norm inf differs from 1 beyond 1e-10$"),
-        (lambda: StateVector.normalized([1e308, 1e308]), "^cannot normalize"),
         # P^2 overflows to inf - inf: a nan deviation is refused, not passed
         (
             lambda: Projector([[1, 1e200 + 1e200j], [1e200 - 1e200j, 1]], "x"),
@@ -102,7 +99,6 @@ def test_extreme_finite_entries_build_or_are_validation_errors(parts):
     values = tuple(zip("abcd", (re for re, _ in parts)))
     for make in (
         lambda: StateVector(entries[:2]),
-        lambda: StateVector.normalized(entries),
         lambda: Projector(np.reshape(entries, (2, 2)), "x"),
         lambda: WeightAssignment(values),
         lambda: ProbabilityDistribution(values),
@@ -244,14 +240,6 @@ def test_trivial_observable():
             trivial_observable(dim)
 
 
-def test_inner_conjugate_symmetry():
-    rng = np.random.default_rng(5)
-    x, y = random_state(rng, 4), random_state(rng, 4)
-    assert inner(x, y) == pytest.approx(np.conj(inner(y, x)))
-    with pytest.raises(DimensionMismatch):
-        inner(x, random_state(rng, 3))
-
-
 def test_projector_from_span_basics():
     p = projector_from_span([basis_state(3, 0)], "first")
     assert p.rank == 1
@@ -264,7 +252,7 @@ def test_projector_from_span_is_basis_independent():
     rng = np.random.default_rng(17)
     a, b = random_state(rng, 4), random_state(rng, 4)
     p1 = projector_from_span([a, b], "s")
-    mixed = StateVector.normalized(0.3 * a.amplitudes + 0.7j * b.amplitudes)
+    mixed = unit(0.3 * a.amplitudes + 0.7j * b.amplitudes)
     p2 = projector_from_span([a, mixed], "s")
     assert np.abs(p1.matrix - p2.matrix).max() < 1e-10
 
@@ -274,7 +262,7 @@ def test_projector_from_span_rejects_degenerate_spans():
     with pytest.raises(DegenerateSpan):
         projector_from_span([s, s], "dup")
     with pytest.raises(DegenerateSpan):
-        projector_from_span([s, basis_state(2, 1), StateVector.normalized([1, 1])], "over")
+        projector_from_span([s, basis_state(2, 1), unit([1, 1])], "over")
     with pytest.raises(ValidationError):
         projector_from_span([], "empty")
     # one error that lists every dimension in argument order
@@ -289,12 +277,12 @@ def test_projector_from_span_refusals_name_their_numbers():
         projector_from_span([s, s], "dup")
     # (1, 0) and (1, 1e-11) normalized: the smaller singular value of the
     # pair is 1e-11 / sqrt(2) to first order
-    near = StateVector.normalized([1.0, 1e-11])
+    near = unit([1.0, 1e-11])
     with pytest.raises(DegenerateSpan, match=f"^{re.escape(dependent)} ") as caught:
         projector_from_span([s, near], "near")
     assert float(str(caught.value).rsplit(" ", 1)[1]) == pytest.approx(1e-11 / math.sqrt(2))
     with pytest.raises(DegenerateSpan, match=r"^span has 3 vectors, more than its dim 2$"):
-        projector_from_span([s, basis_state(2, 1), StateVector.normalized([1, 1])], "over")
+        projector_from_span([s, basis_state(2, 1), unit([1, 1])], "over")
 
 
 @settings(deadline=None)
@@ -335,7 +323,7 @@ def test_born_prob_dim_mismatch():
 
 
 def test_luders_collapse_onto_rank_one():
-    plus = StateVector.normalized([1.0, 1.0])
+    plus = unit([1.0, 1.0])
     z = Observable(
         (
             Projector(np.diag([1.0, 0.0]).astype(complex), "up"),
@@ -345,7 +333,7 @@ def test_luders_collapse_onto_rank_one():
     # after "up" the state is |up>, so the post-selection |b> follows with
     # probability |<up|b>|^2 whatever the relative phase of |+> was
     for post in ([1.0, 0.0], [1.0, 1.0], [1.0, 1.0j], [2.0, -1.0]):
-        b = StateVector.normalized(post)
+        b = unit(post)
         expected = 0.5 * born_prob_pure(basis_state(2, 0), b)
         assert SelectionContext(plus, b, z).transition_weights[0] == pytest.approx(
             expected, abs=1e-12
@@ -357,11 +345,11 @@ def test_luders_degenerate_collapse_keeps_subspace_amplitudes():
     # subspace: the collapsed state is (0, 1, 1)/sqrt 2, not a mixture of
     # |B> and |C>, so B∪C and then the post-selection (1, 1, -1)/sqrt 3
     # never both occur
-    a = StateVector.normalized([1.0, 1.0, 1.0])
+    a = unit([1.0, 1.0, 1.0])
     coarse = np.diag([0.0, 1.0, 1.0]).astype(complex)
     obs = Observable((projector_from_span([basis_state(3, 0)], "A"), Projector(coarse, "B∪C")))
     for post, expected in (([0.0, 1.0, 1.0], 2.0 / 3.0), ([1.0, 1.0, -1.0], 0.0)):
-        b = StateVector.normalized(post)
+        b = unit(post)
         post_proj = np.outer(b.amplitudes, b.amplitudes.conj())
         chained = born_chain(a.amplitudes, [coarse, post_proj])
         assert chained == pytest.approx(expected, abs=1e-12)
@@ -478,11 +466,11 @@ def test_more_outcomes_than_dim_are_refused_before_any_span_is_read():
 def test_public_names_are_pinned():
     import abl_engine
 
-    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 50
+    assert len(abl_engine.__all__) == len(set(abl_engine.__all__)) == 49
     assert set(abl_engine.__all__) == {
         "__version__", "MAX_DIM", "NORM_TOL", "RANK_TOL", "ZERO_PROB_TOL",
         "StateVector", "Projector", "Observable", "basis_state",
-        "trivial_observable", "inner", "projector_from_span", "born_prob_pure",
+        "trivial_observable", "projector_from_span", "born_prob_pure",
         "state_from_json", "observable_from_json", "SelectionContext", "ProbabilityDistribution",
         "WeightAssignment", "OutcomeDecomposition", "DecompositionReport", "ProductRuleReport",
         "marginal_with_Q", "abl", "abl_trivial_reduction", "kastner",

@@ -30,7 +30,6 @@ from abl_engine import (
     decomposition_counterexample,
     estimate_abl,
     estimate_interposition_effect,
-    inner,
     interposition_inequality,
     kastner,
     marginal_with_Q,
@@ -59,11 +58,14 @@ from abl_engine.rules import _transition_weights
 from conftest import (
     _assert_law_is_abl,
     _sylvester_hadamard,
+    philox_block,
+    philox_recount,
     random_context,
     random_observable,
     random_state,
     snapped_born_context,
     snapped_weight_context,
+    unit,
 )
 
 
@@ -175,7 +177,7 @@ def test_run_trial_eigenket_is_certain():
 
 
 def test_run_trial_no_observables_matches_direct_born():
-    pre = StateVector.normalized([1.0, 1.0])
+    pre = unit([1.0, 1.0])
     post = basis_state(2, 0)
     hits = sum(
         run_trial(pre, [], post, trial_stream(11, i, n_observables=0)).post_selected
@@ -392,6 +394,59 @@ def test_raw_words_shifted_are_the_generators_doubles(seed, stream, first_block)
     assert np.array_equal(m.astype(float), x * 2**53)  # both sides exact
 
 
+@pytest.mark.parametrize(
+    "seed, stream, trial", [(0, 0, 0), (7, 0, 5), (2**64 - 1, 1, 12345), (3, 2**63, 2**40 - 1)]
+)
+def test_a_trials_words_are_philox_counter_trial_plus_one(seed, stream, trial):
+    # the key is (seed, stream), and trial i's block is counter i + 1, as
+    # numpy bumps the counter before it encrypts; the estimators read the
+    # words, run_trial the doubles word >> 11 over 2**53
+    words = philox_block(seed, stream, trial + 1)
+    assert ensemble._philox(seed, stream, trial).random_raw(4).tolist() == words
+    draws = trial_stream(seed, trial, stream=stream).random(4) * 2**53
+    assert draws.tolist() == [word >> 11 for word in words]
+
+
+RECOUNT_TRIALS, RECOUNT_SEED = 70001, 7
+
+
+@pytest.fixture(scope="module")
+def philox_recounts():
+    """The plain Philox's counts of estimate_abl on three-box and spin-half,
+    stream 0 with the filter on column 1, and of
+    estimate_interposition_effect on three-box, stream 1 with the direct
+    filter on column 2 and the interposed one on column 1."""
+    box, spin = three_box().context, spin_half().context
+
+    def table(ctx, observable, column):
+        return (column, *_branch_tables(ctx.pre.amplitudes, observable, ctx.post.amplitudes)[2:])
+
+    k = len(box.intervening.outcomes)
+    filters = [table(box, box.intervening, 1), table(spin, spin.intervening, 1)]
+    both = philox_recount(RECOUNT_SEED, 0, RECOUNT_TRIALS, filters)
+    effect = philox_recount(
+        RECOUNT_SEED, 1, RECOUNT_TRIALS, [table(box, None, 2), table(box, box.intervening, 1)]
+    )
+    return {"three-box": both[:k], "spin-half": both[k:], "interposition": effect}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_estimators_count_what_a_plain_philox_recounts(threads, philox_recounts, monkeypatch):
+    # above TRIALS_PER_WORKER, so two workers run on two or more CPUs, and
+    # across four sub-batch edges
+    assert RECOUNT_TRIALS > max(TRIALS_PER_WORKER, 4 * SUB_BATCH_TRIALS)
+    monkeypatch.setenv("ABL_ENGINE_THREADS", threads)
+    for name, ctx in (("three-box", three_box().context), ("spin-half", spin_half().context)):
+        stats = estimate_abl(ctx, RECOUNT_TRIALS, RECOUNT_SEED)
+        assert [count for _, count in stats.counts] == philox_recounts[name]
+    box = three_box().context
+    without, *with_q = philox_recounts["interposition"]
+    rates = estimate_interposition_effect(
+        box.pre, box.intervening, box.post, RECOUNT_TRIALS, RECOUNT_SEED
+    )
+    assert rates == (without / RECOUNT_TRIALS, sum(with_q) / RECOUNT_TRIALS)
+
+
 class _Draws:
     """Stands in for a generator: random(n) returns the next n of the given
     draws."""
@@ -455,7 +510,7 @@ def test_sampler_law_is_abl(name):
 def _spin_bases():
     """sigma_x and sigma_z of d = 2 as labeled observables."""
     sx = Observable(
-        tuple(projector_from_span([StateVector.normalized([1.0, s])], f"x{s:+d}") for s in (1, -1))
+        tuple(projector_from_span([unit([1.0, s])], f"x{s:+d}") for s in (1, -1))
     )
     return sx, Observable(tuple(projector_from_span([basis_state(2, i)], f"z{i}") for i in range(2)))
 
@@ -463,7 +518,7 @@ def _spin_bases():
 SX, SZ = _spin_bases()
 TWO_STEP_LAWS = {
     # the chaining test's history: +z, sigma_x, sigma_z, then +x
-    "chaining": (SelectionContext(basis_state(2, 0), StateVector.normalized([1.0, 1.0]), SX), SZ),
+    "chaining": (SelectionContext(basis_state(2, 0), unit([1.0, 1.0]), SX), SZ),
     "three-box-QA-QB": (three_box().context_for("QA"), three_box().variants["QB"]),
     "three-box-fullQ-QA": (three_box().context, three_box().variants["QA"]),
     "snapped-weight-sigma-x": (snapped_weight_context(), SX),
@@ -498,7 +553,7 @@ def test_born_values_are_zero_exactly_where_the_table_never_draws(name):
     ]
     assert [value == 0.0 for _, value in abl_trivial_reduction(pre, z).entries] == never_drawn
     x_basis = Observable(
-        tuple(projector_from_span([StateVector.normalized([1.0, s])], f"x{s}") for s in (1, -1))
+        tuple(projector_from_span([unit([1.0, s])], f"x{s}") for s in (1, -1))
     )
     lhs = [row.lhs for row in decomposition_check(pre, z, x_basis).outcomes]
     assert [value == 0.0 for value in lhs] == never_drawn
@@ -827,7 +882,7 @@ def test_interposition_effect_trivial_observable():
     rate_without, rate_with = estimate_interposition_effect(
         pre, trivial_observable(3), post, 200000, 23
     )
-    p = abs(inner(pre, post)) ** 2
+    p = abs(np.vdot(pre.amplitudes, post.amplitudes)) ** 2
     se = math.sqrt(p * (1 - p) / 200000)
     assert abs(rate_without - rate_with) < 7 * se
 
@@ -838,7 +893,7 @@ def test_interposition_effect_matches_analytic_random_instance():
     rate_without, rate_with = estimate_interposition_effect(
         ctx.pre, ctx.intervening, ctx.post, 300000, 29
     )
-    p_direct = abs(inner(ctx.pre, ctx.post)) ** 2
+    p_direct = abs(np.vdot(ctx.pre.amplitudes, ctx.post.amplitudes)) ** 2
     p_with = marginal_with_Q(ctx)
     assert abs(rate_without - p_direct) < 5 * math.sqrt(p_direct * (1 - p_direct) / 300000)
     assert abs(rate_with - p_with) < 5 * math.sqrt(p_with * (1 - p_with) / 300000)
@@ -893,7 +948,7 @@ def _sampled_decomposition(pre, q, b_obs, seed):
 
 def test_sampler_verifies_decomposition():
     case = decomposition_counterexample()
-    plus_y = StateVector.normalized([1.0, 1.0j])
+    plus_y = unit([1.0, 1.0j])
     for (pre, q, b_obs), holds in (
         ((case.pre, case.q, case.b_obs), False),  # residual about 0.118
         ((plus_y, SZ, SX), True),  # interference_term_zero
@@ -936,7 +991,8 @@ def test_stream_calibration_over_many_seeds():
     # Kolmogorov law's 0.001 quantile, 1.95 / sqrt(N).
     ctx = three_box().context
     p_a = abl(ctx)["A"]
-    p_with, p_direct = marginal_with_Q(ctx), abs(inner(ctx.pre, ctx.post)) ** 2
+    p_with = marginal_with_Q(ctx)
+    p_direct = abs(np.vdot(ctx.pre.amplitudes, ctx.post.amplitudes)) ** 2
     seeds = np.random.default_rng(2007).integers(0, 2**64, CALIBRATION_SEEDS, dtype=np.uint64)
     z_abl, z_accepted, z_with, z_direct = [], [], [], []
     for seed in map(int, seeds):
@@ -963,11 +1019,11 @@ def test_chaining_two_observables_matches_path_enumeration():
     # a = +z, measure sigma_x then sigma_z, post-select +x; oracle is the
     # brute-force sum over all four outcome paths
     pre = basis_state(2, 0)
-    post = StateVector.normalized([1.0, 1.0])
+    post = unit([1.0, 1.0])
     sx = Observable(
         (
-            projector_from_span([StateVector.normalized([1.0, 1.0])], "x+"),
-            projector_from_span([StateVector.normalized([1.0, -1.0])], "x-"),
+            projector_from_span([unit([1.0, 1.0])], "x+"),
+            projector_from_span([unit([1.0, -1.0])], "x-"),
         )
     )
     sz = Observable(

@@ -29,7 +29,6 @@ from abl_engine import (
     basis_state,
     decomposition_check,
     estimate_interposition_effect,
-    inner,
     interposition_inequality,
     kastner,
     marginal_with_Q,
@@ -46,13 +45,14 @@ from conftest import (
     random_state,
     snapped_born_context,
     snapped_weight_context,
+    unit,
 )
 
 
 # hand-built three-box pieces, independent of the scenarios module
 def _boxes():
-    a = StateVector.normalized([1.0, 1.0, 1.0])
-    b = StateVector.normalized([1.0, 1.0, -1.0])
+    a = unit([1.0, 1.0, 1.0])
+    b = unit([1.0, 1.0, -1.0])
     p = [projector_from_span([basis_state(3, i)], lbl) for i, lbl in enumerate("ABC")]
     full = Observable(tuple(p))
     qa = Observable((p[0], Projector(p[1].matrix + p[2].matrix, "B∪C")))
@@ -111,8 +111,8 @@ def test_context_validation():
 def _split_basis_context(e, group_of):
     """d = 8, a ∝ (1,1,1,1,e,e,e,e), b ∝ (e,e,e,e,1,1,1,1), and an observable
     whose outcome g projects on the basis vectors i with group_of[i] == g."""
-    a = StateVector.normalized([1.0] * 4 + [e] * 4)
-    b = StateVector.normalized([e] * 4 + [1.0] * 4)
+    a = unit([1.0] * 4 + [e] * 4)
+    b = unit([e] * 4 + [1.0] * 4)
     groups = sorted(set(group_of))
     obs = Observable(
         tuple(
@@ -167,18 +167,23 @@ def test_distribution_and_weight_validation():
         ProbabilityDistribution((("a", -0.1), ("b", 1.1)))
     with pytest.raises(ValidationError, match=r"^outcome labels must be unique, got \['a', 'a'\]$"):
         ProbabilityDistribution((("a", 0.5), ("a", 0.5)))
-    dist = ProbabilityDistribution((("a", 0.25), ("b", 0.75)))
+    # numpy's real scalars are real numbers; a bool is not, as the integer
+    # checks and the JSON reader refuse it
+    for value in ("1", None, 1 + 0j, True):
+        with pytest.raises(ValidationError, match=r"^probability for 'a' is outside \[0, 1\]$"):
+            ProbabilityDistribution((("a", value),))
+    dist = ProbabilityDistribution((("a", 0.25), ("b", np.float64(0.75))))
     assert dist.labels == ("a", "b")
     assert dist.as_dict() == {"a": 0.25, "b": 0.75}
     with pytest.raises(KeyError):
         dist["c"]
-    for value in (-0.5, float("nan"), float("inf"), -float("inf")):
-        message = f"^weight for 'a' must be a finite number >= 0, got {value}$"
+    for value in (-0.5, float("nan"), float("inf"), -float("inf"), "x", None, 1 + 0j, False):
+        message = f"^weight for 'a' must be a finite number >= 0, got {re.escape(str(value))}$"
         with pytest.raises(ValidationError, match=message):
             WeightAssignment((("a", value),))
     with pytest.raises(ValidationError, match=r"^outcome labels must be unique, got \['a', 'a'\]$"):
         WeightAssignment((("a", 1.0), ("a", 2.0)))
-    w = WeightAssignment((("a", 1.5), ("b", 2.0)))
+    w = WeightAssignment((("a", 1.5), ("b", np.int64(2))))
     assert w.total() == 3.5
     assert w["b"] == 2.0
 
@@ -241,7 +246,8 @@ def test_abl_with_trivial_observable():
     pre, post = random_state(rng, 4), random_state(rng, 4)
     ctx = SelectionContext(pre, post, trivial_observable(4))
     assert abl(ctx).as_dict() == {"any": 1.0}
-    assert marginal_with_Q(ctx) == pytest.approx(abs(inner(pre, post)) ** 2, abs=1e-12)
+    direct = abs(np.vdot(pre.amplitudes, post.amplitudes)) ** 2
+    assert marginal_with_Q(ctx) == pytest.approx(direct, abs=1e-12)
 
 
 def test_abl_exact_zero_for_impossible_outcomes():
@@ -316,7 +322,7 @@ def test_kastner_orthogonal_pre_post():
 def test_kastner_identity(seed, dim):
     ctx = random_context(np.random.default_rng(seed), dim, min_direct=1e-6)
     weights = kastner(ctx)
-    direct = abs(inner(ctx.pre, ctx.post)) ** 2
+    direct = abs(np.vdot(ctx.pre.amplitudes, ctx.post.amplitudes)) ** 2
     assert weights.total() * direct == pytest.approx(marginal_with_Q(ctx), abs=1e-9)
 
 
@@ -325,7 +331,7 @@ def test_kastner_total_is_unnormalized_in_both_directions():
     # three boxes give 3, +x through sigma_z back to +x gives 1/2
     a, b, full, _, _ = _boxes()
     assert kastner(SelectionContext(a, b, full)).total() == pytest.approx(3.0, abs=1e-12)
-    plus_x = StateVector.normalized([1.0, 1.0])
+    plus_x = unit([1.0, 1.0])
     sz = Observable(
         (
             projector_from_span([basis_state(2, 0)], "up"),
@@ -392,7 +398,7 @@ def _gaussian_integers(rng, dim):
 
 
 def _ket(z):
-    return StateVector.normalized([complex(*c) for c in z])
+    return unit([complex(*c) for c in z])
 
 
 def _partition(rng, dim):
@@ -453,7 +459,8 @@ def test_rules_match_the_rational_oracle(dim):
         # Kastner's weights times the direct rate give the rate with Q
         # measured: they sum to 1 exactly when interposing Q leaves it alone
         assert sum(exact) * p_direct == with_q
-        _assert_matches(weights.total() * abs(inner(pre, post)) ** 2, with_q)
+        overlap = abs(np.vdot(pre.amplitudes, post.amplitudes)) ** 2
+        _assert_matches(weights.total() * overlap, with_q)
     assert zeros, "no outcome with an exact zero weight was drawn"
 
 
@@ -739,8 +746,8 @@ def _sigma_z():
 def _sigma_x_basis():
     return Observable(
         (
-            projector_from_span([StateVector.normalized([1.0, 1.0])], "x+"),
-            projector_from_span([StateVector.normalized([1.0, -1.0])], "x-"),
+            projector_from_span([unit([1.0, 1.0])], "x+"),
+            projector_from_span([unit([1.0, -1.0])], "x-"),
         )
     )
 
@@ -764,7 +771,7 @@ def test_decomposition_q_equals_b():
             projector_from_span([basis_state(2, 1)], "b1"),
         )
     )
-    cases = [(StateVector.normalized([1.0, 1.0j]), _sigma_z(), z_basis)]
+    cases = [(unit([1.0, 1.0j]), _sigma_z(), z_basis)]
     # d = 64, Q groups the kets of a Haar basis: every ket is tried against
     # the outcomes until one contains it
     rng = np.random.default_rng(53)
@@ -785,7 +792,7 @@ def test_decomposition_q_equals_b():
 def test_decomposition_interference_terms_vanish():
     # pre along +y, Q = sigma_z, final basis sigma_x: cross terms are purely
     # imaginary, so the identity holds without Q matching either side
-    a = StateVector.normalized([1.0, 1.0j])
+    a = unit([1.0, 1.0j])
     report = decomposition_check(a, _sigma_z(), _sigma_x_basis())
     assert report.which_condition == "interference_term_zero"
     assert report.max_residual < 1e-9
@@ -842,7 +849,7 @@ def test_decomposition_residual_definition():
 
 
 def test_decomposition_rejects_bad_post_observable():
-    a = StateVector.normalized([1.0, 1.0, 1.0])
+    a = unit([1.0, 1.0, 1.0])
     with pytest.raises(DegeneratePostObservable):
         decomposition_check(a, random_observable(np.random.default_rng(1), 3), trivial_observable(3))
     coarse = Observable(
@@ -930,7 +937,7 @@ def test_interposition_trivial_observable_is_equality():
 
 def test_interposition_can_go_either_way():
     # interposing can also lower the rate: |x+> -> |x+> through sigma_z
-    plus = StateVector.normalized([1.0, 1.0])
+    plus = unit([1.0, 1.0])
     p_direct, p_with_q = interposition_inequality(plus, _sigma_z(), plus)
     assert p_direct == pytest.approx(1.0, abs=1e-12)
     assert p_with_q == pytest.approx(0.5, abs=1e-12)
@@ -976,7 +983,7 @@ def test_snap_band_can_zero_a_sum_whose_own_weight_is_not_zero():
     # d = 3, coordinate Q: the weights are e^2 / 2, e^2 / 2 and 0, each
     # snapped, so p_with_Q is 0 while p_direct = 2 e^2 is not
     e = math.sqrt(1.5e-12)
-    a = StateVector.normalized([1.0, 1.0, 0.0])
+    a = unit([1.0, 1.0, 0.0])
     b = StateVector(np.array([e, e, math.sqrt(1.0 - 2.0 * e * e)], dtype=complex))
     q = _coordinate_observable([[0], [1], [2]], 3, "q")
     p_direct, p_with_q = interposition_inequality(a, q, b)
@@ -1029,7 +1036,7 @@ def test_product_rule_needs_exact_certainty():
     # 4.4e-11, above the snap, so B is possible but not certain and no
     # violation is flagged; A∪C's weight in x is exactly 0, so A is certain
     a, _, _, qa, qb = _boxes()
-    post = StateVector.normalized([1.0 + 2e-5, 1.0, -1.0])
+    post = unit([1.0 + 2e-5, 1.0, -1.0])
     report = product_rule_check(a, post, qa, qb)
     assert report.x_probability == 1.0
     assert 0.0 < 1.0 - report.y_probability < 1e-9
@@ -1068,7 +1075,7 @@ def test_product_rule_compatible_diagonal_case():
 
 
 def test_product_rule_rejects_noncommuting():
-    plus = StateVector.normalized([1.0, 1.0])
+    plus = unit([1.0, 1.0])
     with pytest.raises(NonCommutingObservables):
         product_rule_check(plus, plus, _sigma_z(), _sigma_x_basis())
     # exact sigma_x projectors: [z+, x+] has entries +-1/2, named in the refusal
@@ -1084,7 +1091,7 @@ def test_product_rule_rejects_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         product_rule_check(a, b, qa, _sigma_z())
     with pytest.raises(DimensionMismatch):
-        product_rule_check(StateVector.normalized([1.0, 1.0]), b, qa, qb)
+        product_rule_check(unit([1.0, 1.0]), b, qa, qb)
 
 
 def test_product_rule_label_overrides():

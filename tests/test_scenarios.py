@@ -14,7 +14,6 @@ from abl_engine import (
     StateVector,
     ValidationError,
     abl,
-    inner,
     marginal_with_Q,
     product_rule_check,
     spin_half,
@@ -25,7 +24,7 @@ from abl_engine import (
 def _resolve(bundle, name):
     """Recompute a named expected value through the rules module."""
     if name == "direct":
-        return abs(inner(bundle.context.pre, bundle.context.post)) ** 2
+        return abs(np.vdot(bundle.context.pre.amplitudes, bundle.context.post.amplitudes)) ** 2
     variant, _, what = name.partition(":")
     ctx = bundle.context_for(variant)
     if what == "marginal":
