@@ -27,6 +27,7 @@ from .errors import EngineError, ParseError, ValidationError
 from .rules import (
     SelectionContext,
     abl,
+    born_prob_pure,
     decomposition_check,
     interposition_inequality,
     kastner,
@@ -130,13 +131,13 @@ def _two_time(pre, post, observables, trials, seed) -> dict:
 
 
 def _kastner(pre, post, observables, trials, seed) -> dict:
-    weights = kastner(SelectionContext(pre, post, observables[0]))
-    direct, with_q = interposition_inequality(pre, observables[0], post)
+    ctx = SelectionContext(pre, post, observables[0])
+    weights = kastner(ctx)
     return {
         "weights": weights.as_dict(),
         "total": weights.total(),
-        "direct_prob": direct,
-        "marginal_with_Q": with_q,
+        "direct_prob": born_prob_pure(pre, post),
+        "marginal_with_Q": marginal_with_Q(ctx),
     }
 
 
@@ -216,7 +217,7 @@ def _load(command: _Command, args: argparse.Namespace) -> tuple:
     if command.builtin:
         bundle = SCENARIOS[args.scenario]()
         variant = args.variant if args.variant is not None else next(iter(bundle.variants))
-        pre, post, observables = bundle.context.pre, bundle.context.post, (bundle.variant(variant),)
+        pre, post, observables = bundle.pre, bundle.post, (bundle.variant(variant),)
         meta = {"scenario": {"name": bundle.name, "variant": variant}}
     elif len(args.observables) != len(command.observables):
         raise ValidationError(

@@ -78,8 +78,8 @@ class Projector:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan is refused
             _check_within("projector must be Hermitian", "|P - P^H|", arr - arr.conj().T)
             _check_within("projector must be idempotent", "|P^2 - P|", arr @ arr - arr)
-        if not isinstance(self.label, str):
-            raise ValidationError("projector label must be a string")
+        if not isinstance(self.label, str) or not self.label:
+            raise ValidationError("projector label must be a nonempty string")
         object.__setattr__(self, "matrix", _freeze(arr))
 
     @property
@@ -103,10 +103,7 @@ class Observable:
             raise ValidationError("observable needs at least one outcome")
         _same_dim(*outcomes)
         dim = outcomes[0].dim
-        labels = [p.label for p in outcomes]
-        if any(not lbl for lbl in labels):
-            raise ValidationError("outcome labels must be nonempty")
-        _check_unique(labels)
+        _check_unique(p.label for p in outcomes)
         for p, q in itertools.combinations(outcomes, 2):
             what = f"projectors {p.label!r} and {q.label!r} must be orthogonal"
             _check_within(what, "|P_j P_k|", p.matrix @ q.matrix)

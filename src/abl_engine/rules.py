@@ -177,6 +177,12 @@ class ProductRuleReport:
 # operations
 
 
+def _over(labels, weights, denominator) -> tuple[tuple[str, float], ...]:
+    """Each label with its weight divided by the denominator: the one division
+    of ABL, its Born reduction and Kastner's rule, which differ only in it."""
+    return tuple((label, w / denominator) for label, w in zip(labels, weights))
+
+
 def marginal_with_Q(ctx: SelectionContext) -> float:
     """Probability of the post-selection given the observable is measured, any result."""
     return min(sum(ctx.transition_weights), 1.0)
@@ -191,26 +197,19 @@ def abl(ctx: SelectionContext) -> ProbabilityDistribution:
     ABL rule succeeds on every context that can be built.
     """
     weights = ctx.transition_weights
-    denominator = sum(weights)
-    return ProbabilityDistribution(
-        tuple(
-            (label, value / denominator)
-            for label, value in zip(ctx.intervening.labels, weights)
-        )
-    )
+    return ProbabilityDistribution(_over(ctx.intervening.labels, weights, sum(weights)))
 
 
 def abl_trivial_reduction(pre: StateVector, q_basis: Observable) -> ProbabilityDistribution:
     """ABL distribution with the trivial property in place of the post-selection.
 
-    Computed through the two-time formula (numerators ||P_j |a>||^2, then
-    normalized); agreement with the one-time Born values is a theorem, not
-    an implementation shortcut.
+    Computed through the two-time formula, by the same division as `abl`
+    with numerators ||P_j |a>||^2; agreement with the one-time Born values
+    is a theorem, not an implementation shortcut.
     """
     _same_dim(pre, q_basis)
-    _, numerators = _projections(pre.amplitudes, q_basis)
-    values = numerators / sum(numerators)
-    return ProbabilityDistribution(tuple(zip(q_basis.labels, map(float, values))))
+    numerators = _projections(pre.amplitudes, q_basis)[1].tolist()
+    return ProbabilityDistribution(_over(q_basis.labels, numerators, sum(numerators)))
 
 
 def kastner(ctx: SelectionContext) -> WeightAssignment:
@@ -226,12 +225,7 @@ def kastner(ctx: SelectionContext) -> WeightAssignment:
             f"the direct weight |<a|b>|^2 snapped to 0 (at or below {ZERO_PROB_TOL});"
             " rule undefined"
         )
-    return WeightAssignment(
-        tuple(
-            (label, value / denominator)
-            for label, value in zip(ctx.intervening.labels, ctx.transition_weights)
-        )
-    )
+    return WeightAssignment(_over(ctx.intervening.labels, ctx.transition_weights, denominator))
 
 
 def decomposition_check(

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Observable, Projector, StateVector, basis_state
+from .core import Observable, Projector, StateVector, _is_real, _same_dim, basis_state
 from .errors import ValidationError
 from .rules import SelectionContext
 
@@ -37,8 +37,13 @@ class ScenarioBundle:
         object.__setattr__(self, "variants", MappingProxyType(dict(self.variants)))
         if not self.variants:
             raise ValidationError("a scenario needs at least one variant")
+        _same_dim(self.pre, self.post, *self.variants.values())
         object.__setattr__(self, "expected", MappingProxyType(dict(self.expected)))
-        object.__setattr__(self, "context", self.context_for(next(iter(self.variants))))
+        for name, value in self.expected.items():
+            if not _is_real(value):
+                raise ValidationError(f"expected value {name!r} must be a number, got {value!r}")
+        first = next(iter(self.variants.values()))
+        object.__setattr__(self, "context", SelectionContext(self.pre, self.post, first))
 
     def variant(self, name: str) -> Observable:
         try:
@@ -47,9 +52,6 @@ class ScenarioBundle:
             raise ValidationError(
                 f"unknown variant {name!r}; choose from {', '.join(self.variants)}"
             ) from None
-
-    def context_for(self, variant_name: str) -> SelectionContext:
-        return SelectionContext(self.pre, self.post, self.variant(variant_name))
 
     def expected_value(self, name: str) -> float:
         return self.expected[name]

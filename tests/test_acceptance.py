@@ -42,18 +42,20 @@ from abl_engine import (
 
 def test_three_box_abl_values_are_exact():
     bundle = three_box()
-    full = abl(bundle.context_for("fullQ"))
+    full = abl(SelectionContext(bundle.pre, bundle.post, bundle.variants["fullQ"]))
     for label in "ABC":
         assert abs(full[label] - 1.0 / 3.0) <= 1e-12
-    probe_a = abl(bundle.context_for("QA"))
+    probe_a = abl(SelectionContext(bundle.pre, bundle.post, bundle.variants["QA"]))
     assert abs(probe_a["A"] - 1.0) <= 1e-12
     assert abs(probe_a["B∪C"]) <= 1e-12
 
 
 def test_three_box_post_selection_marginals_are_exact():
     bundle = three_box()
-    assert abs(marginal_with_Q(bundle.context_for("fullQ")) - 1.0 / 3.0) <= 1e-12
-    assert abs(marginal_with_Q(bundle.context_for("QA")) - 1.0 / 9.0) <= 1e-12
+    full = SelectionContext(bundle.pre, bundle.post, bundle.variants["fullQ"])
+    probe_a = SelectionContext(bundle.pre, bundle.post, bundle.variants["QA"])
+    assert abs(marginal_with_Q(full) - 1.0 / 3.0) <= 1e-12
+    assert abs(marginal_with_Q(probe_a) - 1.0 / 9.0) <= 1e-12
 
 
 def _frequencies_match(ctx: SelectionContext, trials: int, seed: int) -> None:
@@ -86,8 +88,9 @@ def test_monte_carlo_frequencies_match_analytic_values():
     started = time.perf_counter()
     trials = 1_000_000
     bundle = three_box()
-    _frequencies_match(bundle.context_for("fullQ"), trials, seed=101)
-    _frequencies_match(bundle.context_for("QA"), trials, seed=102)
+    for variant, seed in (("fullQ", 101), ("QA", 102)):
+        ctx = SelectionContext(bundle.pre, bundle.post, bundle.variants[variant])
+        _frequencies_match(ctx, trials, seed=seed)
     _frequencies_match(spin_half().context, trials, seed=103)
     rng = np.random.default_rng(20260816)
     for index in range(20):

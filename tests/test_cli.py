@@ -17,6 +17,7 @@ from abl_engine import (
     SCENARIOS,
     Observable,
     Projector,
+    SelectionContext,
     abl,
     basis_state,
     projector_from_span,
@@ -311,7 +312,8 @@ def test_csv_for_analytic_command(capsys, box_files):
 def test_every_scenario_variant_through_the_cli(name, variant, capsys):
     code, out, err = _run(capsys, ["scenario", name, "--variant", variant])
     assert (code, err) == (0, "")
-    expected = abl(SCENARIOS[name]().context_for(variant)).as_dict()
+    bundle = SCENARIOS[name]()
+    expected = abl(SelectionContext(bundle.pre, bundle.post, bundle.variants[variant])).as_dict()
     assert json.loads(out)["results"]["abl"] == {
         label: float(f"{value:.15g}") for label, value in expected.items()
     }

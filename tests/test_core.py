@@ -136,10 +136,13 @@ def test_projector_invariants():
         (np.zeros((2, 3)), "wide"),
         (np.eye(MAX_DIM + 1), "big"),
         (np.diag([np.nan, 1.0]), "nan"),
-        (np.eye(2), 7),
     ):
         with pytest.raises(ValidationError):
             Projector(matrix, label)
+    # a label is checked where it is made, not only inside an Observable
+    for label in ("", 7, None):
+        with pytest.raises(ValidationError, match="^projector label must be a nonempty string$"):
+            Projector(np.eye(2), label)
 
 
 def test_refusals_name_the_deviation_and_the_tolerance():
@@ -485,3 +488,27 @@ def test_public_names_are_pinned():
     }
     for name in abl_engine.__all__:
         assert hasattr(abl_engine, name), name
+
+
+def test_the_benchmark_imports_only_names_the_package_has():
+    # the benchmark's files are kept fixed, so each name they import from the
+    # package, or read as abl_engine.<name>, is public API. They are parsed,
+    # not imported: importing bench/run.py sets ABL_ENGINE_THREADS
+    import importlib.util
+
+    import abl_engine
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    names = set()
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "abl_engine":
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "abl_engine":
+                names.add(node.attr)
+    missing = [
+        name
+        for name in sorted(names)
+        if not hasattr(abl_engine, name) and importlib.util.find_spec(f"abl_engine.{name}") is None
+    ]
+    assert names and missing == [], missing

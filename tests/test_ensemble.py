@@ -196,7 +196,7 @@ def test_run_trial_dimension_mismatch():
 
 def test_run_trial_never_draws_vanishing_branch():
     bundle = three_box()
-    ctx = bundle.context_for("QA")
+    ctx = SelectionContext(bundle.pre, bundle.post, bundle.variants["QA"])
     labels = set()
     for i in range(500):
         outcome = run_trial(ctx.pre, [ctx.intervening], ctx.post, trial_stream(2, i))
@@ -253,7 +253,9 @@ def _abl_counts(ctx, seed):
 def test_estimate_matches_trial_loop_bit_exactly(monkeypatch):
     # spin-half's table entries, cos^2(pi/8) and sin^2(pi/8), depend on how
     # the amplitude arithmetic rounds in the last bit
-    for ctx in (three_box().context, three_box().context_for("QA"), spin_half().context):
+    box = three_box()
+    probe_a = SelectionContext(box.pre, box.post, box.variants["QA"])
+    for ctx in (box.context, probe_a, spin_half().context):
         _check_against_trial_loop(monkeypatch, *_abl_counts(ctx, 21))
 
 
@@ -494,8 +496,12 @@ def test_run_trial_takes_at_most_one_block():
         assert len(draws.draws) == DRAWS_PER_BLOCK  # refused before any draw
 
 
+BOX = three_box()
 LAW_CONTEXTS = {
-    **{f"three-box-{name}": three_box().context_for(name) for name in tuple(three_box().variants)},
+    **{
+        f"three-box-{name}": SelectionContext(BOX.pre, BOX.post, q)
+        for name, q in BOX.variants.items()
+    },
     "spin-half": spin_half().context,
     "snapped-weight": snapped_weight_context(),
     "snapped-born": snapped_born_context(),
@@ -519,8 +525,8 @@ SX, SZ = _spin_bases()
 TWO_STEP_LAWS = {
     # the chaining test's history: +z, sigma_x, sigma_z, then +x
     "chaining": (SelectionContext(basis_state(2, 0), unit([1.0, 1.0]), SX), SZ),
-    "three-box-QA-QB": (three_box().context_for("QA"), three_box().variants["QB"]),
-    "three-box-fullQ-QA": (three_box().context, three_box().variants["QA"]),
+    "three-box-QA-QB": (LAW_CONTEXTS["three-box-QA"], BOX.variants["QB"]),
+    "three-box-fullQ-QA": (BOX.context, BOX.variants["QA"]),
     "snapped-weight-sigma-x": (snapped_weight_context(), SX),
 }
 
@@ -789,7 +795,8 @@ def test_estimate_converges_to_abl():
 
 
 def test_estimate_certainty_is_exact():
-    stats = estimate_abl(three_box().context_for("QA"), 10**5, 13)
+    box = three_box()
+    stats = estimate_abl(SelectionContext(box.pre, box.post, box.variants["QA"]), 10**5, 13)
     frequencies = dict(stats.frequencies)
     assert frequencies["A"] == 1.0
     assert frequencies["B∪C"] == 0.0

@@ -7,6 +7,7 @@ import pytest
 
 from abl_engine import (
     SCENARIOS,
+    DimensionMismatch,
     Observable,
     Projector,
     ScenarioBundle,
@@ -26,7 +27,7 @@ def _resolve(bundle, name):
     if name == "direct":
         return abs(np.vdot(bundle.context.pre.amplitudes, bundle.context.post.amplitudes)) ** 2
     variant, _, what = name.partition(":")
-    ctx = bundle.context_for(variant)
+    ctx = SelectionContext(bundle.pre, bundle.post, bundle.variants[variant])
     if what == "marginal":
         return marginal_with_Q(ctx)
     return abl(ctx)[what]
@@ -56,6 +57,20 @@ def test_default_context_is_the_first_variants_context(name):
         ScenarioBundle(name, bundle.pre, bundle.post, {}, bundle.expected)
 
 
+def test_bundle_refuses_a_later_variant_of_another_dimension_and_unreadable_expectations():
+    box = three_box()
+    sigma_c = spin_half().variants["sigma_c"]
+    variants = {"fullQ": box.variants["fullQ"], "bad": sigma_c}
+    with pytest.raises(DimensionMismatch, match=r"^dimensions differ: \[3, 3, 3, 2\]$"):
+        ScenarioBundle("x", box.pre, box.post, variants, box.expected)
+    for value in ("not a number", None, 1j, True, [0.5]):
+        with pytest.raises(ValidationError, match="^expected value 'v' must be a number, got "):
+            ScenarioBundle("x", box.pre, box.post, box.variants, {"direct": 0.5, "v": value})
+    # any real number passes, numpy's included
+    bundle = ScenarioBundle("x", box.pre, box.post, box.variants, {"n": 1, "f": np.float64(0.5)})
+    assert dict(bundle.expected) == {"n": 1, "f": 0.5}
+
+
 def test_expected_values_are_a_read_only_mapping_in_table_order():
     bundle = three_box()
     assert tuple(bundle.expected) == (
@@ -83,8 +98,8 @@ def test_three_box_values():
     dist = abl(bundle.context)
     for label in "ABC":
         assert abs(dist[label] - 1.0 / 3.0) < 1e-12
-    assert abl(bundle.context_for("QA"))["A"] == 1.0
-    assert abl(bundle.context_for("QB"))["B"] == 1.0
+    assert abl(SelectionContext(bundle.pre, bundle.post, bundle.variants["QA"]))["A"] == 1.0
+    assert abl(SelectionContext(bundle.pre, bundle.post, bundle.variants["QB"]))["B"] == 1.0
 
 
 def test_spin_half_default_matches_closed_form():
@@ -151,7 +166,7 @@ def test_product_rule_scenario_reports_violation():
 
 def test_scenario_contexts_share_states_across_variants():
     bundle = three_box()
-    ctx_a = bundle.context_for("QA")
+    ctx_a = SelectionContext(bundle.pre, bundle.post, bundle.variants["QA"])
     assert np.array_equal(ctx_a.pre.amplitudes, bundle.context.pre.amplitudes)
     assert np.array_equal(ctx_a.post.amplitudes, bundle.context.post.amplitudes)
 
