@@ -1,4 +1,4 @@
-from .cli import main
+from .cli import main  # pragma: no cover - this module runs only as `python -m abl_engine`
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # pragma: no cover
     raise SystemExit(main())

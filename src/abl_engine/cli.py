@@ -218,7 +218,7 @@ def _load(command: _Command, args: argparse.Namespace) -> tuple:
         bundle = SCENARIOS[args.scenario]()
         variant = args.variant if args.variant is not None else next(iter(bundle.variants))
         pre, post, observables = bundle.pre, bundle.post, (bundle.variant(variant),)
-        meta = {"scenario": {"name": bundle.name, "variant": variant}}
+        meta = {"scenario": {"name": args.scenario, "variant": variant}}
     elif len(args.observables) != len(command.observables):
         raise ValidationError(
             f"{args.command} requires exactly {len(command.observables)} "

@@ -13,7 +13,7 @@ Randomness comes from a counter-based generator (Philox) keyed by
 (seed, stream) with one counter block per trial, so trials are
 independent, reproducible bit-exactly, and parallelizable without shared
 state. `ABL_ENGINE_THREADS` caps the worker count (0 or unset = auto), and
-the CPU count caps it further; results depend on neither.
+the CPUs the process may run on cap it further; results depend on neither.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .core import Observable, StateVector, _check_unique, _checked_int, _same_di
 from .errors import NoAcceptedTrials, ValidationError
 from .rules import SelectionContext, _projections, _transition_weights
 
-DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four doubles
+DRAWS_PER_BLOCK = 4  # Philox-4x64: one counter block yields four 64-bit words
 # 2**40 trials take most of a day at about 1.6e7 trials/s on one core of a
 # 2-core x86-64 host; a larger count is refused before any work starts.
 MAX_TRIALS = 1 << 40
@@ -49,21 +49,29 @@ class TrialOutcome:
 
 @dataclass(frozen=True)
 class EnsembleStats:
-    """Post-selected trials counted per outcome label, with the relative
-    frequencies and binomial standard errors they give."""
+    """Post-selected trials counted per outcome label, stored as Python ints in
+    (label, count) pairs, with the relative frequencies and binomial standard
+    errors they give; a record with no accepted trial is NoAcceptedTrials."""
 
     trials: int
     counts: tuple[tuple[str, int], ...]
     seed: int
 
     def __post_init__(self) -> None:
-        _checked_int("trials", self.trials, 1, MAX_TRIALS)
-        _checked_int("seed", self.seed, 0, MAX_SEED)
-        _check_unique(label for label, _ in self.counts)
-        for label, count in self.counts:
-            _checked_int(f"count of outcome {label!r}", count, 0, self.trials)
+        object.__setattr__(self, "trials", _checked_int("trials", self.trials, 1, MAX_TRIALS))
+        object.__setattr__(self, "seed", _checked_int("seed", self.seed, 0, MAX_SEED))
+        counts = tuple(
+            (label, _checked_int(f"count of outcome {label!r}", count, 0, self.trials))
+            for label, count in self.counts
+        )
+        _check_unique(label for label, _ in counts)
+        object.__setattr__(self, "counts", counts)
         if self.accepted > self.trials:
             raise ValidationError(f"{self.accepted} accepted trials exceed {self.trials} trials")
+        if not self.accepted:
+            raise NoAcceptedTrials(
+                f"no trial passed post-selection in {self.trials} trials; raise the trial count"
+            )
 
     @property
     def accepted(self) -> int:
@@ -72,8 +80,6 @@ class EnsembleStats:
     @property
     def frequencies(self) -> tuple[tuple[str, float], ...]:
         accepted = self.accepted
-        if not accepted:
-            raise NoAcceptedTrials(f"no trial of {self.trials} passed post-selection")
         return tuple((label, count / accepted) for label, count in self.counts)
 
     @property
@@ -259,8 +265,8 @@ def _worker_count(trials: int) -> int:
         raise ValidationError(f"ABL_ENGINE_THREADS must be an integer, got {raw!r}") from None
     # a run never has more workers than trials, so MAX_TRIALS bounds it
     threads = _checked_int("ABL_ENGINE_THREADS", threads, 0, MAX_TRIALS)
-    cpus = os.cpu_count() or 1
-    return min(threads or 8, cpus, -(-trials // TRIALS_PER_WORKER))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(threads or 8, cpus or 1, -(-trials // TRIALS_PER_WORKER))
 
 
 def _column(words: np.ndarray, c: int) -> np.ndarray:
@@ -321,11 +327,7 @@ def estimate_abl(ctx: SelectionContext, trials: int, seed: int) -> EnsembleStats
     """Post-selected counts of the interposed outcomes and their relative
     frequencies; reproducible bit-exactly for a fixed (trials, seed)."""
     counts = _sampling_pass(ctx.pre, ctx.post, trials, seed, 0, (ctx.intervening, 1))
-    if not counts.any():
-        raise NoAcceptedTrials(
-            f"no trial passed post-selection in {trials} trials; raise the trial count"
-        )
-    return EnsembleStats(trials, tuple(zip(ctx.intervening.labels, map(int, counts))), int(seed))
+    return EnsembleStats(trials, tuple(zip(ctx.intervening.labels, counts)), seed)
 
 
 def estimate_interposition_effect(

@@ -88,11 +88,12 @@ class SelectionContext:
 
 @dataclass(frozen=True)
 class _LabeledValues:
-    """Values under unique labels; each subclass checks the values."""
+    """A tuple of (label, value) pairs with unique labels; each subclass checks the values."""
 
     entries: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple((label, value) for label, value in self.entries))
         _check_unique(self.labels)
         self._check_values()
 
@@ -241,9 +242,7 @@ def decomposition_check(
     """
     _same_dim(pre, q, b_obs)
     if len(b_obs.outcomes) < 2 or any(p.rank != 1 for p in b_obs.outcomes):
-        raise DegeneratePostObservable(
-            "post observable needs at least two rank-1 outcomes"
-        )
+        raise DegeneratePostObservable("post observable needs at least two rank-1 outcomes")
 
     a = pre.amplitudes
     projected, born = _projections(a, q)  # rows u_j = P_j |a>, born_j = p(q_j|a)
@@ -299,9 +298,8 @@ def interposition_inequality(
     weight snaps on its own, p_with_Q can be 0 while p_direct is not.
     """
     _same_dim(pre, q, post)
-    p_direct = born_prob_pure(pre, post)
     p_with_q = sum(_transition_weights(pre.amplitudes, q, post.amplitudes))
-    return p_direct, min(p_with_q, 1.0)
+    return born_prob_pure(pre, post), min(p_with_q, 1.0)
 
 
 def product_rule_check(

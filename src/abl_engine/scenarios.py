@@ -26,7 +26,6 @@ class ScenarioBundle:
     table order (the first is the default, whose context is `context`), and
     the expected values by name in table order."""
 
-    name: str
     pre: StateVector
     post: StateVector
     variants: Mapping[str, Observable]
@@ -92,7 +91,7 @@ def three_box() -> ScenarioBundle:
         "QA:marginal": 1.0 / 9.0,
         "direct": 1.0 / 9.0,
     }
-    return ScenarioBundle("three-box", a, b, {"fullQ": full, "QA": q_a, "QB": q_b}, expected)
+    return ScenarioBundle(a, b, {"fullQ": full, "QA": q_a, "QB": q_b}, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,7 @@ def spin_half() -> ScenarioBundle:
     n_up, n_down = through(c_up), through(c_down)
     total = n_up + n_down
     expected = {"up_c": n_up / total, "down_c": n_down / total, "marginal": total}
-    return ScenarioBundle("spin-half", pre, post, {"sigma_c": sigma_c}, expected)
+    return ScenarioBundle(pre, post, {"sigma_c": sigma_c}, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Monte Carlo verifier: determinism, loop/vector equivalence, statistics."""
 
+import dataclasses
 import hashlib
+import json
 import math
 import os
 import threading
@@ -572,8 +574,10 @@ def test_sampler_law_is_abl_on_random_contexts(seed, dim):
 
 
 def test_worker_count_is_capped_at_cpu_count(monkeypatch):
-    # computes the count only; never starts the threads
-    cpus = os.cpu_count() or 1
+    # computes the count only; never starts the threads. The CPUs the
+    # process may run on are pinned, so the caps below do not depend on the host
+    cpus = 4
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setenv("ABL_ENGINE_THREADS", "100000")
     assert _worker_count(10**9) == cpus
     assert _worker_count(1) == 1
@@ -583,6 +587,23 @@ def test_worker_count_is_capped_at_cpu_count(monkeypatch):
     assert _worker_count(10**9) == 1
     monkeypatch.setenv("ABL_ENGINE_THREADS", "0")
     assert _worker_count(10**9) == min(cpus, 8)
+
+
+def test_worker_count_is_capped_at_the_affinity_mask(monkeypatch):
+    # under taskset or a cpuset the process may run on fewer CPUs than
+    # os.cpu_count() reports; computes the count only, never starts threads
+    monkeypatch.setenv("ABL_ENGINE_THREADS", "8")
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count(10**9) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert _worker_count(10**9) == 3
+    # where there is no affinity call, the CPU count caps it, and an unknown
+    # count allows one worker
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count(10**9) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(10**9) == 1
 
 
 def test_a_pass_starts_one_thread_per_extra_worker(monkeypatch):
@@ -1100,10 +1121,51 @@ def test_ensemble_stats_validation():
     assert dict(stats.std_errors)["c"] == 0.0
     certain = EnsembleStats(7, (("a", 7),), 2)
     assert (certain.frequencies, certain.std_errors) == ((("a", 1.0),), (("a", 0.0),))
-    # no accepted trial: the same typed error as estimate_abl, not 0 / 0
-    empty = EnsembleStats(10, (("a", 0),), 1)
-    assert (empty.accepted, empty.acceptance_rate) == (0, 0.0)
-    for derived in ("frequencies", "std_errors"):
-        with pytest.raises(NoAcceptedTrials):
-            getattr(empty, derived)
+    # no accepted trial: refused when built, with estimate_abl's error, so
+    # every record has frequencies and never divides 0 by 0
+    for counts in ((("a", 0),), ()):
+        message = r"^no trial passed post-selection in 10 trials; raise the trial count$"
+        with pytest.raises(NoAcceptedTrials, match=message):
+            EnsembleStats(10, counts, 1)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from("abc"), st.integers(-1, 6)), max_size=4),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_ensemble_stats_store_the_counts_they_checked(counts, trials, as_generator):
+    # a generator is read once and a list is copied, so the record holds the
+    # pairs it checked, whatever the caller does with its iterable afterwards
+    given_counts = (pair for pair in counts) if as_generator else list(counts)
+    labels = [label for label, _ in counts]
+    accepted = sum(count for _, count in counts)
+    valid = (
+        len(set(labels)) == len(labels)
+        and all(0 <= count <= trials for _, count in counts)
+        and 0 < accepted <= trials
+    )
+    if not valid:
+        with pytest.raises((ValidationError, NoAcceptedTrials)):
+            EnsembleStats(trials, given_counts, 0)
+        return
+    stats = EnsembleStats(trials, given_counts, 0)
+    if not as_generator:
+        given_counts.append(("z", trials))
+    assert stats.counts == tuple(counts)
+    assert stats.accepted == accepted
+    assert math.fsum(f for _, f in stats.frequencies) == pytest.approx(1.0)
+
+
+def test_ensemble_stats_hold_python_ints():
+    numpy_stats = EnsembleStats(np.int32(10), (("a", np.int64(3)),), np.int64(1))
+    assert numpy_stats == EnsembleStats(10, (("a", 3),), 1)
+    ctx = three_box().context
+    sampled = estimate_abl(ctx, np.int64(20000), np.uint64(7))
+    assert sampled == estimate_abl(ctx, 20000, 7)
+    for stats in (numpy_stats, sampled):
+        values = [stats.trials, stats.seed, *(count for _, count in stats.counts)]
+        assert all(type(value) is int for value in values), values
+        json.dumps(dataclasses.asdict(stats))
 

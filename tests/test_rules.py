@@ -189,6 +189,37 @@ def test_distribution_and_weight_validation():
 
 
 @settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from("abc"), st.sampled_from([-0.25, 0.0, 0.25, 0.5, 1.0])),
+        max_size=4,
+    ),
+    st.booleans(),
+)
+def test_labeled_values_store_the_pairs_they_checked(entries, as_generator):
+    # a generator is read once and a list is copied, so each record holds the
+    # pairs it checked, whatever the caller does with its iterable afterwards;
+    # sums of these values are exact
+    labels = [label for label, _ in entries]
+    unique = len(set(labels)) == len(labels)
+    values = [value for _, value in entries]
+    for record, valid in (
+        (ProbabilityDistribution, unique and min(values, default=0) >= 0 and sum(values) == 1),
+        (WeightAssignment, unique and min(values, default=0) >= 0),
+    ):
+        given_entries = (pair for pair in entries) if as_generator else list(entries)
+        if not valid:
+            with pytest.raises(ValidationError):
+                record(given_entries)
+            continue
+        built = record(given_entries)
+        if not as_generator:
+            given_entries.append(("a", 7.0))
+        assert built.entries == tuple(entries)
+        assert built.as_dict() == dict(entries)
+
+
+@settings(deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_abl_sums_to_one(seed, dim):
     ctx = random_context(np.random.default_rng(seed), dim)

@@ -38,9 +38,9 @@ def test_expected_values_reproducible_within_1e12(maker):
     bundle = maker()
     assert bundle.expected, "scenario must ship expectations"
     for name, expected in bundle.expected.items():
-        if bundle.name == "spin-half" and name == "marginal":
+        if maker is spin_half and name == "marginal":
             value = marginal_with_Q(bundle.context)
-        elif bundle.name == "spin-half":
+        elif maker is spin_half:
             value = abl(bundle.context)[name]
         else:
             value = _resolve(bundle, name)
@@ -54,7 +54,7 @@ def test_default_context_is_the_first_variants_context(name):
     assert bundle.context.pre is bundle.pre and bundle.context.post is bundle.post
     assert bundle.context.intervening is first
     with pytest.raises(ValidationError, match="^a scenario needs at least one variant$"):
-        ScenarioBundle(name, bundle.pre, bundle.post, {}, bundle.expected)
+        ScenarioBundle(bundle.pre, bundle.post, {}, bundle.expected)
 
 
 def test_bundle_refuses_a_later_variant_of_another_dimension_and_unreadable_expectations():
@@ -62,12 +62,12 @@ def test_bundle_refuses_a_later_variant_of_another_dimension_and_unreadable_expe
     sigma_c = spin_half().variants["sigma_c"]
     variants = {"fullQ": box.variants["fullQ"], "bad": sigma_c}
     with pytest.raises(DimensionMismatch, match=r"^dimensions differ: \[3, 3, 3, 2\]$"):
-        ScenarioBundle("x", box.pre, box.post, variants, box.expected)
+        ScenarioBundle(box.pre, box.post, variants, box.expected)
     for value in ("not a number", None, 1j, True, [0.5]):
         with pytest.raises(ValidationError, match="^expected value 'v' must be a number, got "):
-            ScenarioBundle("x", box.pre, box.post, box.variants, {"direct": 0.5, "v": value})
+            ScenarioBundle(box.pre, box.post, box.variants, {"direct": 0.5, "v": value})
     # any real number passes, numpy's included
-    bundle = ScenarioBundle("x", box.pre, box.post, box.variants, {"n": 1, "f": np.float64(0.5)})
+    bundle = ScenarioBundle(box.pre, box.post, box.variants, {"n": 1, "f": np.float64(0.5)})
     assert dict(bundle.expected) == {"n": 1, "f": 0.5}
 
 
@@ -162,13 +162,6 @@ def test_product_rule_scenario_reports_violation():
     assert report.product_norm == 0.0
     assert abs(report.x_probability - 1.0) < 1e-12
     assert abs(report.y_probability - 1.0) < 1e-12
-
-
-def test_scenario_contexts_share_states_across_variants():
-    bundle = three_box()
-    ctx_a = SelectionContext(bundle.pre, bundle.post, bundle.variants["QA"])
-    assert np.array_equal(ctx_a.pre.amplitudes, bundle.context.pre.amplitudes)
-    assert np.array_equal(ctx_a.post.amplitudes, bundle.context.post.amplitudes)
 
 
 def test_decomposition_counterexample_breaks_the_split():
