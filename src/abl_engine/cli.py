@@ -142,13 +142,7 @@ def _kastner(pre, post, observables, trials, seed) -> dict:
 
 
 def _decomposition(pre, post, observables, trials, seed) -> dict:
-    report = decomposition_check(pre, *observables)
-    return {
-        "which_condition": report.which_condition,
-        "conditions_hold": report.conditions_hold,
-        "max_residual": report.max_residual,
-        "outcomes": [asdict(row) for row in report.outcomes],
-    }
+    return asdict(decomposition_check(pre, *observables))
 
 
 def _inequality(pre, post, observables, trials, seed) -> dict:

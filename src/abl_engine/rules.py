@@ -149,29 +149,36 @@ class OutcomeDecomposition:
 
 @dataclass(frozen=True)
 class DecompositionReport:
-    outcomes: tuple[OutcomeDecomposition, ...]
+    """Which validity condition holds, and the rows; fields in report order."""
+
     which_condition: WhichCondition
+    conditions_hold: bool = field(init=False)
+    max_residual: float = field(init=False)
+    outcomes: tuple[OutcomeDecomposition, ...]
 
-    @property
-    def conditions_hold(self) -> bool:
-        return self.which_condition != "none"
-
-    @property
-    def max_residual(self) -> float:
-        return max(entry.residual for entry in self.outcomes)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "conditions_hold", self.which_condition != "none")
+        object.__setattr__(self, "max_residual", max(row.residual for row in self.outcomes))
 
 
 @dataclass(frozen=True)
 class ProductRuleReport:
-    """ABL certainties for two commuting observables versus their projector product."""
+    """ABL certainties for two commuting observables versus their projector
+    product; a violation is both certain and a zero product."""
 
     x_label: str
     y_label: str
     x_probability: float
     y_probability: float
     product_norm: float
-    product_is_zero: bool
-    violation: bool
+    product_is_zero: bool = field(init=False)
+    violation: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        zero = self.product_norm <= NORM_TOL
+        certain = self.x_probability == self.y_probability == 1.0
+        object.__setattr__(self, "product_is_zero", zero)
+        object.__setattr__(self, "violation", certain and zero)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +278,10 @@ def decomposition_check(
     # structural cases first, so floating noise cannot misclassify them. The
     # largest entry of (P_j - I) B_i = (P_j b_i - b_i) b_i^dagger is
     # max|P_j b_i - b_i| max|b_i|, with |b_i> = conj(<b_i|)
-    stacked = np.array([p.matrix for p in q.outcomes])  # P_j, shape (k, d, d)
     if any(np.linalg.norm(u - a) <= NORM_TOL for u in projected):
         which = "Q_equals_A"
     elif all(
-        (np.abs(stacked @ b - b).max(axis=1) * np.abs(b).max() <= NORM_TOL).any()
+        (np.abs(_projections(b, q)[0] - b).max(axis=1) * np.abs(b).max() <= NORM_TOL).any()
         for b in bras.conj()
     ):
         which = "Q_equals_B"
@@ -285,7 +291,7 @@ def decomposition_check(
         j, k = np.triu_indices(len(projected), 1)
         cross = (amp[:, j].conj() * amp[:, k]).real
         which = "none" if _snap(np.abs(cross)).any() else "interference_term_zero"
-    return DecompositionReport(rows, which)
+    return DecompositionReport(which, rows)
 
 
 def interposition_inequality(
@@ -320,16 +326,5 @@ def product_rule_check(
     px, py = x.outcomes[0], y.outcomes[0]
     x_prob = abl(SelectionContext(pre, post, x))[px.label]
     y_prob = abl(SelectionContext(pre, post, y))[py.label]
-    product = px.matrix @ py.matrix
-    product_norm = float(np.abs(product).max())
-    product_is_zero = product_norm <= NORM_TOL
-    violation = x_prob == 1.0 and y_prob == 1.0 and product_is_zero
-    return ProductRuleReport(
-        x_label=px.label,
-        y_label=py.label,
-        x_probability=x_prob,
-        y_probability=y_prob,
-        product_norm=product_norm,
-        product_is_zero=product_is_zero,
-        violation=violation,
-    )
+    product_norm = float(np.abs(px.matrix @ py.matrix).max())
+    return ProductRuleReport(px.label, py.label, x_prob, y_prob, product_norm)

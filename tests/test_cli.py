@@ -558,6 +558,21 @@ def test_readme_scenario_example_is_what_the_cli_prints(capsys):
     assert out.encode() == _readme_block("The first command prints", "json").encode()
 
 
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_lists_each_input(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"] if command is None else [command, "--help"])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 0 and err == ""
+    if command is None:
+        assert all(name in out for name in _COMMANDS)
+        return
+    spec = _COMMANDS[command]
+    for state in {state for other in _COMMANDS.values() for state in other.states}:
+        assert (f"--{state}" in out) == (state in spec.states), state
+    assert ("--observable" in out) == bool(spec.observables)
+
+
 def test_readme_usage_and_command_table_match_the_commands():
     text = README.read_text(encoding="utf-8")
     usage = re.search(r"^abl-engine \{([^}]*)\} \.\.\.$", text, re.M)

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +12,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from abl_engine import (
+    DecompositionReport,
     DegeneratePostObservable,
     DimensionMismatch,
     ImpossiblePostSelection,
     NonCommutingObservables,
     Observable,
     OrthogonalPrePost,
+    OutcomeDecomposition,
     ProbabilityDistribution,
+    ProductRuleReport,
     Projector,
     SelectionContext,
     StateVector,
@@ -877,6 +881,14 @@ def test_decomposition_residual_definition():
     report = decomposition_check(basis_state(2, 0), _spin_projectors(math.pi / 4), _sigma_x_basis())
     for row in report.outcomes:
         assert row.residual == abs(row.lhs - row.rhs)
+    # the record derives both verdicts, and lists its fields in report order
+    assert list(asdict(report)) == ["which_condition", "conditions_hold", "max_residual", "outcomes"]
+    rows = (OutcomeDecomposition("p", 0.5, 0.25), OutcomeDecomposition("q", 0.5, 0.875))
+    derived = DecompositionReport("none", rows)
+    assert derived.conditions_hold is False and derived.max_residual == 0.375
+    assert DecompositionReport("Q_equals_A", rows).conditions_hold is True
+    with pytest.raises(TypeError):
+        DecompositionReport("none", rows, conditions_hold=True)
 
 
 def test_decomposition_rejects_bad_post_observable():
@@ -1073,6 +1085,26 @@ def test_product_rule_needs_exact_certainty():
     assert 0.0 < 1.0 - report.y_probability < 1e-9
     assert report.product_is_zero
     assert not report.violation
+
+
+@pytest.mark.parametrize(
+    "x_prob, y_prob, norm, zero, violation",
+    [
+        (1.0, 1.0, 0.0, True, True),
+        (1.0, 1.0, 1e-10, True, True),
+        (1.0, 1.0, 2e-10, False, False),
+        (1.0 - 2**-53, 1.0, 0.0, True, False),
+        (1.0, 1.0 - 2**-53, 0.0, True, False),
+    ],
+)
+def test_product_rule_report_derives_its_verdicts(x_prob, y_prob, norm, zero, violation):
+    # a zero product is a norm at or below 1e-10; a violation needs it and two
+    # probabilities of exactly 1
+    report = ProductRuleReport("x", "y", x_prob, y_prob, norm)
+    assert report.product_is_zero is zero and report.violation is violation
+    for verdict in ({"product_is_zero": zero}, {"violation": violation}):
+        with pytest.raises(TypeError):
+            ProductRuleReport("x", "y", x_prob, y_prob, norm, **verdict)
 
 
 def test_product_rule_same_observable_no_violation():
